@@ -16,9 +16,8 @@ distributions never produce:
 * ``diseq_chain`` — disequality chains over a ``next``/``lseg`` path with a
   folded right-hand side, the shape where U3-U5 side conditions matter;
 * ``near_symmetric`` — disjoint copies of one identical gadget, the inputs
-  that drive :mod:`repro.logic.canonical`'s individualisation search towards
-  its budget (and, past it, into the :class:`~repro.logic.canonical.TooSymmetricError`
-  cache opt-out).
+  on which :mod:`repro.logic.canonical`'s individualisation search has to
+  prune by automorphisms to stay within its budget.
 
 Determinism is the load-bearing property: instance ``i`` of a campaign with
 seed ``s`` is drawn from ``random.Random("slp-fuzz:s:i")`` and therefore never
@@ -268,11 +267,12 @@ def _near_symmetric(rng: random.Random, profile: GeneratorProfile) -> Entailment
     """Disjoint copies of one identical gadget: maximal structural symmetry.
 
     Colour refinement cannot separate the copies (every variable looks the
-    same), so canonicalisation must individualise; from about six copies of
-    the two-variable gadgets the search exceeds its refinement budget and
-    takes the documented :class:`~repro.logic.canonical.TooSymmetricError`
-    cache opt-out.  The entailment itself stays easy for the prover — the
-    stress is aimed at the batch layer's fingerprinting.
+    same), so canonicalisation must individualise.  An exhaustive search
+    would try every order of the copies (k! leaves, past the refinement
+    budget from about six copies); pruned by the automorphisms that permute
+    the copies, it keys every instance in a few dozen passes.  The
+    entailment itself stays easy for the prover — the stress is aimed at the
+    batch layer's fingerprinting.
     """
     copies = rng.randint(2, 7)
     gadget = rng.choice(("two_cycle", "self_loop", "pair_to_nil"))

@@ -30,21 +30,37 @@ from graph canonicalisation:
    the multiset of (edge label, neighbour colour) pairs over its occurrences.
    Refinement is isomorphism-invariant, so renamings get the same colours;
 3. if refinement leaves ties (a colour class with several constants), branch:
-   individualise each member of the first tied class in turn, re-refine,
-   recurse, and keep the branch whose fully ordered encoding is
-   lexicographically smallest.  Taking the minimum over *all* members keeps
-   the result independent of the input names.
+   individualise each member of the first tied class in turn (in name
+   order), re-refine, recurse; the key is the lexicographically smallest
+   fully ordered encoding over all leaves of this search tree.  Taking the
+   minimum over *all* members keeps the result independent of the names;
+4. prune by automorphisms (the scheme of nauty, McKay & Piperno 2014).  Two
+   leaves with equal encodings define an automorphism: a renaming that maps
+   the entailment onto itself.  A tied candidate that an automorphism fixing
+   the node's individualised constants maps onto an already explored sibling
+   roots a subtree with the same encodings, so it is skipped; and when an
+   automorphism maps a leaf's whole path onto an earlier leaf's, the rest of
+   the subtree where the two paths diverge is skipped too.  Pruning only
+   drops leaves whose encodings were already seen, so the minimum, and with
+   it every key, is exactly that of the exhaustive search.
 
-Entailments in this fragment are small (tens of constants) and rarely
-symmetric, so the branching is almost always trivial; a refinement budget
-guards the pathological fully-symmetric cases, which simply opt out of
-caching via :class:`TooSymmetricError`.
+Refinement runs over integers: constants are numbered in name order and each
+edge label is replaced by its rank among the entailment's labels.  That
+relabelling preserves every comparison, so colour ids, pass counts and keys
+are those of refining over the labels themselves.
+
+Entailments in this fragment are small (tens of constants), but not rarely
+symmetric: the paper's Table 3 clones a verification condition into k
+renamed-apart copies, which any permutation of the copies maps onto
+themselves.  Without pruning such inputs cost k! leaves; with it, about k per
+level of the search.  A refinement budget still bounds the search; an input
+that exhausts it opts out of caching via :class:`TooSymmetricError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.logic.formula import Entailment
 from repro.logic.terms import Const, make_const
@@ -65,16 +81,18 @@ _KEY_VERSION = "slp-canon-1"
 _CANONICAL_PREFIX = "c"
 
 #: Default ceiling on colour-refinement passes across all branches of the
-#: individualisation search.  Generous: a non-degenerate entailment needs a
-#: handful of passes in total.
+#: pruned individualisation search.  Generous: a non-degenerate entailment
+#: needs a handful of passes in total, a VC cloned x4 well under a hundred.
 _DEFAULT_BUDGET = 2000
 
 
 class TooSymmetricError(RuntimeError):
     """The individualisation search exceeded its refinement budget.
 
-    Only (nearly) fully symmetric entailments trigger this; callers treat
-    such inputs as uncacheable rather than spending factorial time on them.
+    With automorphism pruning the default budget is rarely reached: a small
+    explicit ``budget=``, or an input whose ties refinement cannot split and
+    whose automorphisms the search does not find early, triggers it.  Callers
+    treat such inputs as uncacheable rather than searching on.
     """
 
 
@@ -83,55 +101,85 @@ class TooSymmetricError(RuntimeError):
 #: comparisons.
 _Label = Tuple[str, str, str, str]
 
-#: One occurrence of a constant: the edge label plus the constant at the
-#: other end of the atom (the constant itself for degenerate ``x = x`` /
-#: ``lseg(x, x)`` atoms, which refinement handles naturally).
-_Occurrence = Tuple[_Label, Const]
+#: A fingerprint (see :meth:`_Search.encode`).
+_Key = Tuple
 
 
-def _occurrence_table(entailment: Entailment) -> Dict[Const, List[_Occurrence]]:
-    """Every constant's atom occurrences, as labelled edges to its neighbours."""
-    table: Dict[Const, List[_Occurrence]] = {c: [] for c in entailment.constants()}
-    for side, literals in (("lhs", entailment.lhs_pure), ("rhs", entailment.rhs_pure)):
-        for literal in literals:
-            kind = "eq" if literal.positive else "neq"
-            left, right = literal.atom.left, literal.atom.right
-            table[left].append((("pure", side, kind, "end"), right))
-            table[right].append((("pure", side, kind, "end"), left))
-    for side, sigma in (("lhs", entailment.lhs_spatial), ("rhs", entailment.rhs_spatial)):
-        for atom in sigma:
-            roles = atom.argument_roles()
-            if len(roles) == 2:
-                # Binary atoms keep the original single-neighbour labels so
-                # that singly-linked fingerprints are unchanged.
-                (role_a, const_a), (role_b, const_b) = roles
-                table[const_a].append((("spatial", side, atom.kind, role_a), const_b))
-                table[const_b].append((("spatial", side, atom.kind, role_b), const_a))
-                continue
-            # Wider atoms: connect every argument to every other argument,
-            # labelling the edge with the ordered role pair so refinement sees
-            # the full incidence structure of the atom.
-            for i, (role_i, const_i) in enumerate(roles):
-                for j, (role_j, const_j) in enumerate(roles):
-                    if i != j:
-                        table[const_i].append(
-                            (
-                                ("spatial", side, atom.kind, "{}>{}".format(role_i, role_j)),
-                                const_j,
-                            )
-                        )
-    return table
+class _Leaf(NamedTuple):
+    """A leaf of the search tree: its encoding, colouring and individualised path."""
+
+    key: _Key
+    colours: List[int]
+    path: List[int]
 
 
-class _Refiner:
-    """Colour refinement with a shared pass budget across the whole search."""
+class _Search:
+    """Individualisation-refinement over integer-numbered constants, pruned by
+    the automorphisms its own leaves reveal, with one pass budget for the
+    whole search."""
 
-    def __init__(self, occurrences: Dict[Const, List[_Occurrence]], budget: int):
-        self.occurrences = occurrences
+    def __init__(self, entailment: Entailment, budget: int):
         self.budget = budget
+        # Name order: it fixes the order in which tied candidates are tried,
+        # and with it the pass count, in every interpreter.
+        self.constants = sorted(entailment.constants(), key=lambda c: c.name)
+        self.has_nil = any(constant.is_nil for constant in self.constants)
+        ids = {constant: number for number, constant in enumerate(self.constants)}
+        # Every atom occurrence as labelled, directed edges ``(from, to)``
+        # between constant ids (a loop for degenerate ``x = x`` /
+        # ``lseg(x, x)`` atoms, which refinement handles naturally), and the
+        # atoms themselves over ids, for the encoding.
+        arcs: Dict[_Label, List[Tuple[int, int]]] = {}
+        self.pure_sides: List[List[Tuple[int, int, int]]] = []
+        self.spatial_sides: List[List[Tuple[str, Tuple[int, ...]]]] = []
+        for side, literals in (("lhs", entailment.lhs_pure), ("rhs", entailment.rhs_pure)):
+            encoded = []
+            for literal in literals:
+                positive = int(literal.positive)
+                i, j = ids[literal.atom.left], ids[literal.atom.right]
+                encoded.append((positive, i, j))
+                label = ("pure", side, "eq" if positive else "neq", "end")
+                arcs.setdefault(label, []).extend(((i, j), (j, i)))
+            self.pure_sides.append(encoded)
+        for side, sigma in (("lhs", entailment.lhs_spatial), ("rhs", entailment.rhs_spatial)):
+            encoded = []
+            for atom in sigma:
+                roles = [(role, ids[constant]) for role, constant in atom.argument_roles()]
+                encoded.append((atom.kind, tuple(i for _, i in roles)))
+                if len(roles) == 2:
+                    # Binary atoms keep the original single-neighbour labels
+                    # so that singly-linked fingerprints are unchanged.
+                    (role_a, a), (role_b, b) = roles
+                    arcs.setdefault(("spatial", side, atom.kind, role_a), []).append((a, b))
+                    arcs.setdefault(("spatial", side, atom.kind, role_b), []).append((b, a))
+                    continue
+                # Wider atoms: connect every argument to every other argument,
+                # labelling the edge with the ordered role pair so refinement
+                # sees the full incidence structure of the atom.
+                for x, (role_x, a) in enumerate(roles):
+                    for y, (role_y, b) in enumerate(roles):
+                        if x != y:
+                            label = ("spatial", side, atom.kind, "{}>{}".format(role_x, role_y))
+                            arcs.setdefault(label, []).append((a, b))
+            self.spatial_sides.append(encoded)
+        # (label rank) * stride + (neighbour colour) orders exactly as the
+        # pair (label, neighbour colour) does: colour ids never exceed the
+        # number of constants.
+        stride = len(self.constants) + 1
+        self.edges: List[List[Tuple[int, int]]] = [[] for _ in self.constants]
+        for number, label in enumerate(sorted(arcs)):
+            base = number * stride
+            for a, b in arcs[label]:
+                self.edges[a].append((base, b))
+        #: Automorphisms found so far, as permutations of the constant ids.
+        self.generators: List[List[int]] = []
+        self.first: Optional[_Leaf] = None
+        self.best: Optional[_Leaf] = None
 
-    def refine(self, colours: Dict[Const, int]) -> Dict[Const, int]:
-        """Refine ``colours`` to a fixpoint, renumbering classes canonically."""
+    def refine(self, colours: List[int], classes: int) -> Tuple[List[int], int]:
+        """Refine ``colours`` (with ``classes`` classes) to a fixpoint,
+        renumbering classes canonically."""
+        edges = self.edges
         while True:
             if self.budget <= 0:
                 raise TooSymmetricError(
@@ -139,103 +187,161 @@ class _Refiner:
                     "the entailment is too symmetric to fingerprint cheaply"
                 )
             self.budget -= 1
-            signatures = {
-                constant: (
-                    colour,
-                    tuple(
-                        sorted(
-                            (label, colours[other])
-                            for label, other in self.occurrences[constant]
-                        )
-                    ),
-                )
-                for constant, colour in colours.items()
-            }
+            sizes = [0] * (len(colours) + 1)
+            for colour in colours:
+                sizes[colour] += 1
+            # A signature sorts by its colour first, so a constant alone in
+            # its class keeps its rank without its neighbourhood.
+            signatures = [
+                (colour, *sorted([base + colours[other] for base, other in adjacent]))
+                if sizes[colour] > 1
+                else (colour,)
+                for colour, adjacent in zip(colours, edges)
+            ]
             # Renumber by sorted signature: the ids depend only on structure,
             # so isomorphic inputs are renumbered identically.
-            numbering = {
-                signature: index
-                for index, signature in enumerate(sorted(set(signatures.values())))
-            }
-            refined = {c: numbering[signatures[c]] for c in colours}
-            if len(numbering) == len(set(colours.values())):
-                return refined
-            colours = refined
+            distinct = sorted(set(signatures))
+            numbering = {signature: number for number, signature in enumerate(distinct)}
+            refined = [numbering[signature] for signature in signatures]
+            if len(distinct) == classes:
+                return refined, classes
+            colours, classes = refined, len(distinct)
 
+    def search(self, colours: List[int], classes: int, path: List[int]) -> Optional[int]:
+        """Explore the subtree below ``path``.
 
-def _cells(colours: Dict[Const, int]) -> List[List[Const]]:
-    """The colour classes, ordered by colour id (members in arbitrary order)."""
-    grouped: Dict[int, List[Const]] = {}
-    for constant, colour in colours.items():
-        grouped.setdefault(colour, []).append(constant)
-    return [grouped[colour] for colour in sorted(grouped)]
+        Returns ``None``, or the depth the search must resume at when a leaf
+        proved the rest of an enclosing subtree equivalent to one already
+        explored.
+        """
+        colours, classes = self.refine(colours, classes)
+        size = len(colours)
+        if classes == size:
+            return self.leaf(colours, path)
+        counts = [0] * classes
+        for colour in colours:
+            counts[colour] += 1
+        target = next(colour for colour, count in enumerate(counts) if count > 1)
+        depth = len(path)
+        explored: List[int] = []
+        orbits: List[int] = []
+        known = -1  # number of generators ``orbits`` was computed from
+        for candidate in (c for c, colour in enumerate(colours) if colour == target):
+            if explored:
+                if known != len(self.generators):
+                    known = len(self.generators)
+                    orbits = self.orbits(path)
+                if any(orbits[candidate] == orbits[sibling] for sibling in explored):
+                    continue  # an automorphism maps it onto an explored sibling
+            explored.append(candidate)
+            branched = list(colours)
+            branched[candidate] = size  # strictly above every existing colour id
+            resume = self.search(branched, classes + 1, path + [candidate])
+            if resume is not None and resume < depth:
+                return resume
+        return None
 
+    def leaf(self, colours: List[int], path: List[int]) -> Optional[int]:
+        """Record a leaf; on a match with an earlier one, return where to resume."""
+        key = self.encode(colours)
+        for earlier in (self.first, self.best):
+            if earlier is not None and earlier.key == key:
+                return self.automorphism(colours, path, earlier)
+        leaf = _Leaf(key, colours, path)
+        if self.first is None:
+            self.first = leaf
+        if self.best is None or key < self.best.key:
+            self.best = leaf
+        return None
 
-_Key = Tuple
+    def automorphism(self, colours: List[int], path: List[int], earlier: _Leaf) -> Optional[int]:
+        """Keep the automorphism mapping this leaf onto ``earlier`` (equal
+        encodings), and return where the search can resume.
 
+        When it maps this leaf's path onto the earlier leaf's, it maps the
+        subtree where the two paths diverge onto one already explored, so
+        the rest of that subtree holds no new encoding.
+        """
+        owner = [0] * len(colours)
+        for constant, colour in enumerate(earlier.colours):
+            owner[colour] = constant
+        gamma = [owner[colour] for colour in colours]
+        self.generators.append(gamma)
+        if len(path) != len(earlier.path) or any(
+            gamma[mine] != theirs for mine, theirs in zip(path, earlier.path)
+        ):
+            return None
+        common = 0
+        while path[common] == earlier.path[common]:
+            common += 1
+        return common
 
-def _encode(entailment: Entailment, index: Mapping[Const, int]) -> _Key:
-    """The entailment re-expressed through constant positions, conjuncts sorted.
+    def orbits(self, path: List[int]) -> List[int]:
+        """Orbit representatives under the found automorphisms fixing ``path``."""
+        parent = list(range(len(self.constants)))
 
-    This *is* the fingerprint: equal encodings mean the two entailments
-    become literally identical once their constants are numbered by ``index``.
-    """
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    def pure(literals) -> Tuple:
-        encoded = []
-        for literal in literals:
-            i, j = index[literal.atom.left], index[literal.atom.right]
-            encoded.append((int(literal.positive), min(i, j), max(i, j)))
-        return tuple(sorted(encoded))
+        for gamma in self.generators:
+            if all(gamma[v] == v for v in path):
+                for x, y in enumerate(gamma):
+                    rx, ry = find(x), find(y)
+                    if rx != ry:
+                        parent[max(rx, ry)] = min(rx, ry)
+        return [find(x) for x in range(len(parent))]
 
-    def spatial(sigma) -> Tuple:
-        return tuple(
-            sorted(
-                (atom.kind,) + tuple(index[constant] for _, constant in atom.argument_roles())
-                for atom in sigma
+    def encode(self, colours: List[int]) -> _Key:
+        """The entailment re-expressed through constant positions, conjuncts sorted.
+
+        This *is* the fingerprint: equal encodings mean the two entailments
+        become literally identical once their constants are numbered by
+        position.  In a discrete colouring nil has colour 0: it is pinned to
+        position 0 (it can never be renamed, so the key must record which
+        node it is) and the variables take 1..n in colour order.  Without nil
+        the positions shift up, so 0 still unambiguously means "nil" across
+        the whole key space.
+        """
+        position = colours if self.has_nil else [colour + 1 for colour in colours]
+
+        def pure(literals) -> Tuple:
+            encoded = []
+            for positive, left, right in literals:
+                i, j = position[left], position[right]
+                encoded.append((positive, i, j) if i <= j else (positive, j, i))
+            return tuple(sorted(encoded))
+
+        def spatial(atoms) -> Tuple:
+            return tuple(
+                sorted((kind, *[position[x] for x in arguments]) for kind, arguments in atoms)
             )
+
+        (lhs_pure, rhs_pure), (lhs_spatial, rhs_spatial) = self.pure_sides, self.spatial_sides
+        return (
+            _KEY_VERSION,
+            len(colours),
+            pure(lhs_pure),
+            spatial(lhs_spatial),
+            pure(rhs_pure),
+            spatial(rhs_spatial),
         )
 
-    return (
-        _KEY_VERSION,
-        len(index),
-        pure(entailment.lhs_pure),
-        spatial(entailment.lhs_spatial),
-        pure(entailment.rhs_pure),
-        spatial(entailment.rhs_spatial),
-    )
-
-
-def _search(
-    entailment: Entailment,
-    refiner: _Refiner,
-    colours: Dict[Const, int],
-) -> Tuple[_Key, Dict[Const, int]]:
-    """Individualisation-refinement: the minimal encoding over all tie-breaks."""
-    colours = refiner.refine(colours)
-    cells = _cells(colours)
-    tied = next((cell for cell in cells if len(cell) > 1), None)
-    if tied is None:
-        # Discrete colouring: the colours induce a total order.  nil is pinned
-        # to position 0 — it can never be renamed, so the key must record
-        # which node it is — and the variables take 1..n in colour order.
-        ordered = sorted(colours, key=lambda c: (0 if c.is_nil else 1, colours[c]))
-        index = {constant: position for position, constant in enumerate(ordered)}
-        if not any(c.is_nil for c in colours):
-            # No nil anywhere: shift positions up so 0 still unambiguously
-            # means "nil" across the whole key space.
-            index = {constant: position + 1 for constant, position in index.items()}
-        return _encode(entailment, index), index
-    fresh = len(colours)  # strictly above every existing colour id
-    best: Optional[Tuple[_Key, Dict[Const, int]]] = None
-    for candidate in tied:
-        branched = dict(colours)
-        branched[candidate] = fresh
-        outcome = _search(entailment, refiner, branched)
-        if best is None or outcome[0] < best[0]:
-            best = outcome
-    assert best is not None
-    return best
+    def run(self) -> Tuple[_Key, List[Const]]:
+        """The minimal encoding over all leaves, with the constants in the
+        order of their positions in it."""
+        # nil is pinned: it can never be renamed, so it starts in its own class.
+        colours = [0 if constant.is_nil else 1 for constant in self.constants]
+        if not colours:
+            return self.encode([]), []
+        self.search(colours, len(set(colours)), [])
+        assert self.best is not None
+        ordered = list(self.constants)
+        for constant, colour in zip(self.constants, self.best.colours):
+            ordered[colour] = constant
+        return self.best.key, ordered
 
 
 @dataclass(frozen=True)
@@ -269,21 +375,12 @@ def canonicalize(entailment: Entailment, budget: int = _DEFAULT_BUDGET) -> Canon
     Raises :class:`TooSymmetricError` for pathologically symmetric inputs
     (callers should treat those as uncacheable).
     """
-    occurrences = _occurrence_table(entailment)
-    # nil is pinned: it can never be renamed, so it starts in its own class.
-    colours = {c: (0 if c.is_nil else 1) for c in occurrences}
-    if not colours:
-        return CanonicalForm(key=_encode(entailment, {}), renaming={}, inverse={})
-    refiner = _Refiner(occurrences, budget)
-    key, index = _search(entailment, refiner, colours)
+    key, ordered = _Search(entailment, budget).run()
     # Positions -> canonical names.  nil keeps its name; the remaining
     # constants are numbered c1..cn by their canonical position.
-    ordered = sorted(
-        (c for c in index if not c.is_nil), key=lambda constant: index[constant]
-    )
     renaming: Dict[Const, Const] = {}
     inverse: Dict[Const, Const] = {}
-    for position, constant in enumerate(ordered, start=1):
+    for position, constant in enumerate((c for c in ordered if not c.is_nil), start=1):
         canonical = make_const("{}{}".format(_CANONICAL_PREFIX, position))
         renaming[constant] = canonical
         inverse[canonical] = constant

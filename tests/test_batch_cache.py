@@ -13,11 +13,13 @@ import random
 
 import pytest
 
+import repro.core.cache as cache_module
 from repro.core.batch import BatchProver, FailureInfo, default_jobs
 from repro.core.cache import CachingProver, ProofCache
 from repro.core.config import ProverConfig
 from repro.core.prover import Prover, ProverTimeout
 from repro.frontend import all_programs, generate_vcs, prove_procedure
+from repro.logic.canonical import TooSymmetricError
 from repro.logic.formula import Entailment, lseg, neq, pts
 from repro.logic.terms import make_const
 from repro.semantics.satisfaction import falsifies_entailment
@@ -103,14 +105,23 @@ class TestProofCache:
         assert not caching.prove(batch[0]).from_cache
         assert caching.prove(batch[2]).from_cache
 
-    def test_uncacheable_entailments_are_proved_not_cached(self):
+    def test_uncacheable_entailments_are_proved_not_cached(self, monkeypatch):
+        # Pruned by automorphisms, the canonicaliser keys even eight
+        # interchangeable segments within its default budget, so make it
+        # give up to reach the uncacheable path.
+        def too_symmetric(entailment, budget=None):
+            raise TooSymmetricError("refinement budget exceeded")
+
+        monkeypatch.setattr(cache_module, "canonicalize", too_symmetric)
         caching = CachingProver(config=ProverConfig().for_benchmarking())
         symmetric = Entailment.build(
             lhs=[lseg("a{}".format(i), "b{}".format(i)) for i in range(8)]
         )
-        result = caching.prove(symmetric)
-        assert not result.from_cache
-        assert caching.cache.uncacheable >= 1
+        expected = Prover(ProverConfig().for_benchmarking()).prove(symmetric).verdict
+        for _ in range(2):
+            result = caching.prove(symmetric)
+            assert result.verdict == expected and not result.from_cache
+        assert caching.cache.uncacheable == 2
         assert len(caching.cache) == 0
 
 

@@ -10,11 +10,18 @@ the canonical representative).
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
+from repro.benchgen.cloning import clone_entailment
+from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile
 from repro.logic.canonical import (
     TooSymmetricError,
     canonical_entailment,
@@ -58,11 +65,7 @@ def test_fingerprint_invariant_under_renaming_and_reordering(seed):
     assert canonical_entailment(entailment) == canonical_entailment(twisted)
 
 
-@SLOW
-@given(st.integers(min_value=0, max_value=2 ** 30))
-def test_renaming_realises_the_canonical_representative(seed):
-    rng = random.Random(seed)
-    entailment = make_random_entailment(rng, n_vars=5)
+def _assert_renaming_realises_the_representative(entailment: Entailment) -> None:
     form = canonicalize(entailment)
     constants = {c for c in entailment.constants() if not c.is_nil}
     # The kept renaming is a bijection over exactly the entailment's variables.
@@ -76,6 +79,13 @@ def test_renaming_realises_the_canonical_representative(seed):
     assert renamed.lhs_spatial == canonical.lhs_spatial
     assert sorted(map(str, renamed.rhs_pure)) == sorted(map(str, canonical.rhs_pure))
     assert renamed.rhs_spatial == canonical.rhs_spatial
+
+
+@SLOW
+@given(st.integers(min_value=0, max_value=2 ** 30))
+def test_renaming_realises_the_canonical_representative(seed):
+    rng = random.Random(seed)
+    _assert_renaming_realises_the_representative(make_random_entailment(rng, n_vars=5))
 
 
 @SLOW
@@ -130,17 +140,161 @@ def test_empty_entailment_is_canonicalisable():
     assert canonicalize(empty).renaming == {}
 
 
+NEAR_SYMMETRIC = EntailmentGenerator(seed=7, profile=GeneratorProfile.only("near_symmetric"))
+
+
+def _cloned(seed: int) -> Entailment:
+    """A small random entailment cloned x2..x6: its copies can be permuted."""
+    rng = random.Random(seed)
+    base = make_random_entailment(rng, n_vars=rng.randint(2, 3))
+    return clone_entailment(base, rng.randint(2, 6))
+
+
+#: Inputs with non-trivial automorphisms, where the search has to prune.
+SYMMETRIC = st.one_of(
+    st.integers(min_value=0, max_value=2 ** 30).map(_cloned),
+    st.integers(min_value=0, max_value=10 ** 6).map(
+        lambda index: NEAR_SYMMETRIC.case(index).entailment
+    ),
+)
+
+
+def _twisted(entailment: Entailment, rng: random.Random) -> Entailment:
+    """A random alpha-renaming with its pure conjuncts shuffled."""
+    return _shuffle_conjuncts(entailment.rename(_alpha_rename(entailment, rng)), rng)
+
+
+def _rewired(entailment: Entailment, rng: random.Random) -> Entailment:
+    """One argument of one conjunct redirected to another of the constants:
+    usually a different problem, now and then a renaming of the same one."""
+    sides = [
+        list(entailment.lhs_pure) + list(entailment.lhs_spatial),
+        list(entailment.rhs_pure) + list(entailment.rhs_spatial),
+    ]
+    nonempty = [items for items in sides if items]
+    if not nonempty:
+        return entailment
+    side = rng.choice(nonempty)
+    position = rng.randrange(len(side))
+    item = side[position]
+    source = rng.choice(sorted(item.constants()))
+    target = rng.choice(sorted(entailment.constants()))
+    side[position] = item.substitute({source: target})
+    return Entailment.build(lhs=sides[0], rhs=sides[1])
+
+
+@SLOW
+@given(SYMMETRIC, st.integers(min_value=0, max_value=2 ** 30))
+def test_symmetric_fingerprint_invariant_under_renaming_and_reordering(entailment, seed):
+    # Pruning skips subtrees an automorphism maps onto explored ones; if it
+    # ever skipped the minimal leaf, some renaming would get another key.
+    twisted = _twisted(entailment, random.Random(seed))
+    assert fingerprint(entailment) == fingerprint(twisted)
+    assert canonical_entailment(entailment) == canonical_entailment(twisted)
+
+
+@SLOW
+@given(SYMMETRIC)
+def test_symmetric_renaming_realises_the_canonical_representative(entailment):
+    _assert_renaming_realises_the_representative(entailment)
+
+
+@SLOW
+@given(SYMMETRIC, st.integers(min_value=0, max_value=2 ** 30))
+def test_symmetric_fingerprints_equal_exactly_when_representatives_are(entailment, seed):
+    # Near misses: the same symmetric input with one conjunct rewired (or
+    # not), under fresh names.
+    rng = random.Random(seed)
+    other = _twisted(_rewired(entailment, rng) if rng.random() < 0.5 else entailment, rng)
+    same_key = fingerprint(entailment) == fingerprint(other)
+    assert same_key == (canonical_entailment(entailment) == canonical_entailment(other))
+
+
+def _disjoint_segments(count: int) -> Entailment:
+    return Entailment.build(lhs=[lseg("a{}".format(i), "b{}".format(i)) for i in range(count)])
+
+
 def test_pathologically_symmetric_inputs_opt_out():
-    # Eight disjoint, indistinguishable segments: the individualisation tree
-    # is factorial, so the canonicaliser must give up within its budget
-    # rather than stall the batch pipeline.
-    big = Entailment.build(
-        lhs=[lseg("a{}".format(i), "b{}".format(i)) for i in range(8)]
-    )
-    with pytest.raises(TooSymmetricError):
-        fingerprint(big)
-    # Small symmetric inputs stay within budget.
-    small = Entailment.build(lhs=[lseg("a0", "b0"), lseg("a1", "b1")])
+    # Eight disjoint, indistinguishable segments: an exhaustive search has
+    # 8! leaves.  Pruned by automorphisms it needs a few dozen passes, so the
+    # input gets a key, and one that does not change under renaming.
+    big = _disjoint_segments(8)
+    key = fingerprint(big)
     rng = random.Random(5)
+    assert fingerprint(big.rename(_alpha_rename(big, rng))) == key
+    # The budget still bounds the search: an explicit small one opts out.
+    with pytest.raises(TooSymmetricError):
+        fingerprint(big, budget=20)
+    # Small symmetric inputs stay within any reasonable budget.
+    small = _disjoint_segments(2)
     renamed = small.rename(_alpha_rename(small, rng))
-    assert fingerprint(small) == fingerprint(renamed)
+    assert fingerprint(small, budget=20) == fingerprint(renamed, budget=20)
+
+
+#: Canonicalises symmetric inputs, with the default budget and with budgets
+#: of 20, 50 and 100 passes, and prints the outcomes as JSON.  In the clones
+#: every tied class is one orbit, so any candidate order costs the same; in
+#: disjoint cycles of different lengths, which refinement cannot tell apart,
+#: a tied class mixes orbits and the order moves the pass count.
+_CANONICALISE = """
+import json
+from repro.benchgen.cloning import clone_entailment
+from repro.frontend.examples_suite import vcs_by_program
+from repro.logic.canonical import TooSymmetricError, fingerprint
+from repro.logic.formula import Entailment, lseg, pts
+
+
+def cycle(atom, prefix, length):
+    return [atom(prefix + str(i), prefix + str((i + 1) % length)) for i in range(length)]
+
+
+inputs = {
+    "8 segments": Entailment.build(
+        lhs=[lseg("a{}".format(i), "b{}".format(i)) for i in range(8)]
+    ),
+    "vc x6": clone_entailment(vcs_by_program()["list_dispose_two"][0].entailment, 6),
+    "cycles 4, 4, 8": Entailment.build(
+        lhs=cycle(pts, "a", 4) + cycle(pts, "b", 4) + cycle(pts, "c", 8)
+    ),
+    "cycles 6, 3, 3": Entailment.build(
+        lhs=cycle(lseg, "h", 6) + cycle(lseg, "t", 3) + cycle(lseg, "u", 3)
+    ),
+}
+report = {}
+for name, entailment in inputs.items():
+    outcomes = [repr(fingerprint(entailment))]
+    for budget in (20, 50, 100):
+        try:
+            fingerprint(entailment, budget=budget)
+            outcomes.append("keyed")
+        except TooSymmetricError:
+            outcomes.append("too symmetric")
+    report[name] = outcomes
+print(json.dumps(report))
+"""
+
+
+def _canonicalise_in_subprocess(hash_seed: str) -> dict:
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    environment = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+    completed = subprocess.run(
+        [sys.executable, "-c", _CANONICALISE],
+        env=environment,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return json.loads(completed.stdout)
+
+
+def test_keys_and_budget_verdicts_do_not_depend_on_hash_order():
+    # With pruning the pass count depends on the order candidates are tried
+    # in; trying them in name order makes it (and so whether a budget is
+    # exceeded) the same in every interpreter, whatever its set order.
+    first = _canonicalise_in_subprocess("1")
+    second = _canonicalise_in_subprocess("2")
+    assert first == second
+    for outcomes in first.values():
+        # The budgets straddle each search's pass count.
+        assert set(outcomes[1:]) == {"keyed", "too symmetric"}

@@ -38,6 +38,7 @@ from repro.logic.atoms import ListSegment
 from repro.logic.formula import Entailment
 from repro.logic.parser import parse_entailment
 from repro.logic.printer import format_entailment
+from repro.logic.terms import make_const
 from tests.conftest import KNOWN_VERDICTS
 
 
@@ -89,22 +90,29 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GeneratorProfile(weights={"mixed": 0.0})
 
-    def test_near_symmetric_family_reaches_the_canonical_opt_out(self):
-        # The family exists to stress logic/canonical.py's budget opt-out: a
-        # visible fraction of instances must actually take it (the batch
-        # layer then proves them uncached), while the rest canonicalise fine.
-        from repro.logic.canonical import TooSymmetricError, canonicalize
+    def test_near_symmetric_family_gets_invariant_keys(self):
+        # The family stresses logic/canonical.py's individualisation search:
+        # up to seven interchangeable copies of one gadget.  Pruned by
+        # automorphisms, the search keys every instance within its default
+        # budget, and the key survives a renaming of the variables.
+        from repro.logic.canonical import canonicalize
 
         cases = EntailmentGenerator(
             seed=1, profile=GeneratorProfile.only("near_symmetric")
         ).cases(60)
-        opted_out = 0
         for case in cases:
-            try:
-                canonicalize(case.entailment)
-            except TooSymmetricError:
-                opted_out += 1
-        assert 0 < opted_out < len(cases)
+            entailment = case.entailment
+            variables = sorted(entailment.variables())
+            fresh = list(variables)
+            random.Random(case.index).shuffle(fresh)
+            renaming = {
+                variable: make_const("r_" + other.name)
+                for variable, other in zip(variables, fresh)
+            }
+            assert (
+                canonicalize(entailment).key
+                == canonicalize(entailment.rename(renaming)).key
+            )
 
     def test_generated_entailments_round_trip_through_the_parser(self):
         for case in EntailmentGenerator(seed=13).cases(60):
