@@ -874,6 +874,7 @@ class BatchProver:
             else (max_seconds, record_proof)
         )
         batch = list(entailments)
+        wants_proof = self.config.record_proof if record_proof is None else record_proof
         start = time.perf_counter()
         # Batch-local accounting: the shared object is only touched in the
         # ``finally`` fold.  The shared cache's own counters move under its
@@ -896,9 +897,11 @@ class BatchProver:
                 canonicals[index] = canonical
                 # Hold the cache lock across lookup + disk_hits delta so the
                 # "did the second tier answer this?" attribution is atomic.
+                # A proof request is not answered by an entry without one:
+                # that entry counts as a miss and is proved (and replaced).
                 with self.cache.lock:
                     disk_hits_before = self.cache.disk_hits
-                    cached = self.cache.lookup(entailment, canonical)
+                    cached = self.cache.answer(entailment, canonical, wants_proof)
                     if cached is not None:
                         stats.disk_hits += self.cache.disk_hits - disk_hits_before
                 if cached is not None:

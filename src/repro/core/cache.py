@@ -261,6 +261,29 @@ class ProofCache:
             from_cache=True,
         )
 
+    def answer(
+        self,
+        entailment: Entailment,
+        canonical: Optional[CanonicalForm] = None,
+        record_proof: bool = False,
+    ) -> Optional[ProofResult]:
+        """:meth:`lookup`, except that a hit must also satisfy the request.
+
+        A VALID entry stored without a proof cannot answer a request that
+        asks for one: it counts as a miss (``hits``/``disk_hits`` are taken
+        back, ``misses`` grows) and ``None`` is returned, so the caller
+        proves the entailment and its :meth:`store` replaces the entry.
+        """
+        with self._lock:
+            hits, disk_hits = self.hits, self.disk_hits
+            cached = self.lookup(entailment, canonical)
+            # An INVALID entry always carries its counterexample.
+            if cached is None or not (record_proof and cached.is_valid and cached.proof is None):
+                return cached
+            self.hits, self.disk_hits = hits, disk_hits
+            self.misses += 1
+            return None
+
     def store(
         self,
         entailment: Entailment,
@@ -401,7 +424,9 @@ class CachingProver:
         """Decide ``entailment``, answering from the cache when possible."""
         canonical = self.cache.canonical_form(entailment)
         if canonical is not None:
-            cached = self.cache.lookup(entailment, canonical)
+            cached = self.cache.answer(
+                entailment, canonical, record_proof=self.prover.config.record_proof
+            )
             if cached is not None:
                 return cached
         result = self.prover.prove(entailment)

@@ -217,7 +217,7 @@ class Prover:
             statistics.normalization_steps += neg_step_count
 
             outcome = unfold(positive, negative)
-            statistics.unfolding_steps += len(outcome.steps)
+            statistics.unfolding_steps += outcome.step_count
 
             if not outcome.success:
                 counterexample = build_counterexample(

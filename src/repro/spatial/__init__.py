@@ -35,7 +35,7 @@ from repro.spatial.theory import (
     register_theory,
     theory_of,
 )
-from repro.spatial.unfolding import UnfoldingOutcome, UnfoldingStep, unfold
+from repro.spatial.unfolding import UnfoldingMove, UnfoldingOutcome, UnfoldingStep, unfold
 from repro.spatial.wellformedness import WellFormednessConsequence, well_formedness_consequences
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "normalize_clause",
     "WellFormednessConsequence",
     "well_formedness_consequences",
+    "UnfoldingMove",
     "UnfoldingOutcome",
     "UnfoldingStep",
     "unfold",

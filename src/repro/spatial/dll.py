@@ -43,15 +43,19 @@ from repro.logic.terms import NIL, Const
 from repro.semantics.heap import Heap, Loc, NIL_LOC, Stack, fresh_location
 from repro.spatial.theory import PredicateSignature, SpatialTheory, register_theory
 from repro.spatial.unfolding import (
+    UnfoldingMove,
     UnfoldingOutcome,
-    UnfoldingStep,
     address_map,
-    apply_rule,
+    dangling_segment,
     mismatch,
     resolve_spatial,
     unclaimed_cells_mismatch,
 )
-from repro.spatial.wellformedness import WellFormednessConsequence, consequence_emitter
+from repro.spatial.wellformedness import (
+    WellFormednessConsequence,
+    colliding_anchors,
+    consequence_emitter,
+)
 
 
 def _back_map(sigma: SpatialFormula) -> Dict[Const, DllSegment]:
@@ -166,41 +170,37 @@ class DoublyLinkedTheory(SpatialTheory):
                 emit("D3", (emptiness,), (atom,))
 
         # Pairwise rules: two allocation anchors naming the same location.
-        def anchors(atom: SpatialAtom) -> List[Tuple[Const, Optional[EqAtom], str]]:
-            """(location, emptiness escape, anchor role) per allocated cell."""
+        # An atom's anchors are its head (index 0) and, for a two-cell
+        # segment, its back cell (index 1).
+        def anchors(atom: SpatialAtom) -> Tuple[Const, ...]:
             if isinstance(atom, DllCell):
-                return [(atom.source, None, "head")]
+                return (atom.source,)
             assert isinstance(atom, DllSegment)
             if atom.is_trivial or atom.source == atom.target:
-                return []  # forced empty: allocates nothing
-            emptiness = EqAtom(atom.source, atom.target)
-            result = [(atom.source, emptiness, "head")]
+                return ()  # forced empty: allocates nothing
             if atom.back != atom.source:
-                result.append((atom.back, emptiness, "back"))
-            return result
+                return (atom.source, atom.back)
+            return (atom.source,)
 
-        anchor_lists = [anchors(atom) for atom in atoms]
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                for loc_i, escape_i, role_i in anchor_lists[i]:
-                    for loc_j, escape_j, role_j in anchor_lists[j]:
-                        if loc_i != loc_j or loc_i.is_nil:
-                            continue
-                        if role_i == "head" and role_j == "head":
-                            if escape_i is None and escape_j is None:
-                                rule = "W3"
-                            elif escape_i is None or escape_j is None:
-                                rule = "W4"
-                            else:
-                                rule = "W5"
-                        else:
-                            rule = "D4"
-                        extra = tuple(
-                            dict.fromkeys(
-                                escape for escape in (escape_i, escape_j) if escape is not None
-                            )
-                        )
-                        emit(rule, extra, (atoms[i], atoms[j]))
+        def emptiness(atom: SpatialAtom) -> Optional[EqAtom]:
+            """The equation that lets the atom give its cells up, if any."""
+            return EqAtom(atom.source, atom.target) if isinstance(atom, DllSegment) else None
+
+        for i, j, ki, kj in colliding_anchors([anchors(atom) for atom in atoms]):
+            escape_i, escape_j = emptiness(atoms[i]), emptiness(atoms[j])
+            if ki == 0 and kj == 0:
+                if escape_i is None and escape_j is None:
+                    rule = "W3"
+                elif escape_i is None or escape_j is None:
+                    rule = "W4"
+                else:
+                    rule = "W5"
+            else:
+                rule = "D4"
+            extra = tuple(
+                dict.fromkeys(escape for escape in (escape_i, escape_j) if escape is not None)
+            )
+            emit(rule, extra, (atoms[i], atoms[j]))
 
         return consequences
 
@@ -332,11 +332,10 @@ class DoublyLinkedTheory(SpatialTheory):
             return uncovered
 
         # ------------------------------------------------------------------
-        # Phase 2: rewriting.  Replay the matching as U-rule applications on
-        # the negative clause, accumulating side conditions in Delta'.
+        # Phase 2: rewriting.  Replay the matching as U-rule moves on the
+        # negative formula, accumulating side conditions in Delta'.
         # ------------------------------------------------------------------
-        steps: List[UnfoldingStep] = []
-        current_clause = negative
+        moves: List[UnfoldingMove] = []
 
         for demanded, chain in matches:
             if isinstance(demanded, DllCell):
@@ -346,18 +345,16 @@ class DoublyLinkedTheory(SpatialTheory):
                     continue
                 # U1 (cell form): fold the demanded cell into the one-cell
                 # segment; sound unless the segment's ends coincide.
-                current_clause, step = apply_rule(
-                    current_clause,
-                    positive,
-                    "U1",
-                    demanded,
-                    [piece],
-                    side_condition=EqAtom(piece.source, piece.target),
-                    description="fold the cell {} into the one-cell segment {}".format(
-                        demanded, piece
-                    ),
+                moves.append(
+                    UnfoldingMove(
+                        "U1",
+                        demanded,
+                        (piece,),
+                        EqAtom(piece.source, piece.target),
+                        "fold the cell {} into the one-cell segment {}",
+                        (demanded, piece),
+                    )
                 )
-                steps.append(step)
                 continue
 
             assert isinstance(demanded, DllSegment)
@@ -369,29 +366,31 @@ class DoublyLinkedTheory(SpatialTheory):
                         # The final piece is literally the remaining segment.
                         break
                     # U1: the final piece is the cell cell(x, y, px).
-                    current_clause, step = apply_rule(
-                        current_clause,
-                        positive,
-                        "U1",
-                        remaining,
-                        [piece],
-                        side_condition=EqAtom(piece.source, demanded.target),
-                        description="fold the final cell {} into {}".format(piece, remaining),
+                    moves.append(
+                        UnfoldingMove(
+                            "U1",
+                            remaining,
+                            (piece,),
+                            EqAtom(piece.source, demanded.target),
+                            "fold the final cell {} into {}",
+                            (piece, remaining),
+                        )
                     )
-                    steps.append(step)
                     break
 
                 if isinstance(piece, DllCell):
                     front, front_last = piece, piece.source
                     rule: str = "U2"
                     side: Optional[EqAtom] = EqAtom(piece.source, demanded.target)
-                    description = "peel {} off {}".format(piece, remaining)
+                    template = "peel {} off {}"
+                    subjects: Tuple[object, ...] = (piece, remaining)
                 elif piece.back == piece.source:
                     # U2 (segment form): a one-cell segment peels like a cell;
                     # its interior is exactly its head, escaped by x = y.
                     front, front_last = piece, piece.back
                     rule, side = "U2", EqAtom(piece.source, demanded.target)
-                    description = "peel the one-cell segment {} off {}".format(piece, remaining)
+                    template = "peel the one-cell segment {} off {}"
+                    subjects = (piece, remaining)
                 else:
                     # U3/U4/U5: split at a two-cell segment; the demanded end
                     # must be provably outside the piece.
@@ -404,41 +403,25 @@ class DoublyLinkedTheory(SpatialTheory):
                         if anchor is None and target in backs:
                             anchor = backs[target]
                         if anchor is None:
-                            return UnfoldingOutcome(
-                                success=False,
-                                steps=steps,
-                                failure_kind="dangling_segment",
-                                failure_edge=(piece.source, piece.target),
-                                failure_atom=piece,
-                                failure_target=target,
-                                failure_detail=(
-                                    "{} must stop at {} but the left-hand side does not "
-                                    "allocate {}".format(demanded, target, target)
-                                ),
+                            return dangling_segment(
+                                negative, positive, moves, demanded, piece, target
                             )
                         if isinstance(anchor, DllCell):
                             rule, side = "U4", None
                         else:
                             rule, side = "U5", EqAtom(anchor.source, anchor.target)
-                    description = "split {} at {}".format(remaining, piece.target)
+                    template, subjects = "split {} at {}", (remaining, piece.target)
 
                 peeled = DllSegment(
                     piece.target, front_last, demanded.target, demanded.back
                 )
-                current_clause, step = apply_rule(
-                    current_clause,
-                    positive,
-                    rule,
-                    remaining,
-                    [front, peeled],
-                    side_condition=side,
-                    description=description,
+                moves.append(
+                    UnfoldingMove(rule, remaining, (front, peeled), side, template, subjects)
                 )
-                steps.append(step)
                 remaining = peeled
 
         # Phase 3: spatial resolution (shared across theories).
-        return resolve_spatial(positive, current_clause, steps)
+        return resolve_spatial(positive, negative, moves)
 
     # -- candidate model -----------------------------------------------------
     def model_heap_cells(

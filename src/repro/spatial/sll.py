@@ -26,15 +26,19 @@ from repro.semantics.heap import Heap, Loc, NIL_LOC, Stack, fresh_location
 from repro.spatial.graph import spatial_graph
 from repro.spatial.theory import PredicateSignature, SpatialTheory, register_theory
 from repro.spatial.unfolding import (
+    UnfoldingMove,
     UnfoldingOutcome,
-    UnfoldingStep,
     address_map,
-    apply_rule,
+    dangling_segment,
     mismatch,
     resolve_spatial,
     unclaimed_cells_mismatch,
 )
-from repro.spatial.wellformedness import WellFormednessConsequence, consequence_emitter
+from repro.spatial.wellformedness import (
+    WellFormednessConsequence,
+    colliding_anchors,
+    consequence_emitter,
+)
 
 
 class SinglyLinkedTheory(SpatialTheory):
@@ -84,28 +88,25 @@ class SinglyLinkedTheory(SpatialTheory):
                 emit("W2", (EqAtom(atom.target, NIL),), (atom,))
 
         # W3 / W4 / W5: two atoms sharing the same address.
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                first, second = atoms[i], atoms[j]
-                if first.address != second.address or first.address.is_nil:
-                    continue
-                first_is_next = isinstance(first, PointsTo)
-                second_is_next = isinstance(second, PointsTo)
-                if first_is_next and second_is_next:
-                    emit("W3", (), (first, second))
-                elif first_is_next and not second_is_next:
-                    emit("W4", (EqAtom(second.source, second.target),), (first, second))
-                elif not first_is_next and second_is_next:
-                    emit("W4", (EqAtom(first.source, first.target),), (second, first))
-                else:
-                    emit(
-                        "W5",
-                        (
-                            EqAtom(first.source, first.target),
-                            EqAtom(second.source, second.target),
-                        ),
-                        (first, second),
-                    )
+        for i, j, _, _ in colliding_anchors([(atom.address,) for atom in atoms]):
+            first, second = atoms[i], atoms[j]
+            first_is_next = isinstance(first, PointsTo)
+            second_is_next = isinstance(second, PointsTo)
+            if first_is_next and second_is_next:
+                emit("W3", (), (first, second))
+            elif first_is_next and not second_is_next:
+                emit("W4", (EqAtom(second.source, second.target),), (first, second))
+            elif not first_is_next and second_is_next:
+                emit("W4", (EqAtom(first.source, first.target),), (second, first))
+            else:
+                emit(
+                    "W5",
+                    (
+                        EqAtom(first.source, first.target),
+                        EqAtom(second.source, second.target),
+                    ),
+                    (first, second),
+                )
 
         return consequences
 
@@ -183,10 +184,9 @@ class SinglyLinkedTheory(SpatialTheory):
 
         # ------------------------------------------------------------------
         # Phase 2: rewriting.  Replay the matching as a sequence of U-rule
-        # applications on the negative clause, accumulating side conditions.
+        # moves on the negative formula, accumulating side conditions.
         # ------------------------------------------------------------------
-        steps: List[UnfoldingStep] = []
-        current_clause = negative
+        moves: List[UnfoldingMove] = []
 
         for demanded, chain in matches:
             if isinstance(demanded, PointsTo):
@@ -201,29 +201,30 @@ class SinglyLinkedTheory(SpatialTheory):
                         # The final piece is literally the remaining segment.
                         break
                     # U1: the final piece is a cell next(x, z).
-                    current_clause, step = apply_rule(
-                        current_clause,
-                        positive,
-                        "U1",
-                        remaining,
-                        [PointsTo(cell.source, cell.target)],
-                        side_condition=EqAtom(cell.source, demanded.target),
-                        description="fold the final cell {} into {}".format(cell, remaining),
+                    moves.append(
+                        UnfoldingMove(
+                            "U1",
+                            remaining,
+                            (cell,),
+                            EqAtom(cell.source, demanded.target),
+                            "fold the final cell {} into {}",
+                            (cell, remaining),
+                        )
                     )
-                    steps.append(step)
                     break
 
                 peeled = ListSegment(cell.target, demanded.target)
                 if isinstance(cell, PointsTo):
                     # U2: peel a cell off the front of the segment.
-                    current_clause, step = apply_rule(
-                        current_clause,
-                        positive,
-                        "U2",
-                        remaining,
-                        [PointsTo(cell.source, cell.target), peeled],
-                        side_condition=EqAtom(cell.source, demanded.target),
-                        description="peel {} off {}".format(cell, remaining),
+                    moves.append(
+                        UnfoldingMove(
+                            "U2",
+                            remaining,
+                            (cell, peeled),
+                            EqAtom(cell.source, demanded.target),
+                            "peel {} off {}",
+                            (cell, remaining),
+                        )
                     )
                 else:
                     target = demanded.target
@@ -232,36 +233,27 @@ class SinglyLinkedTheory(SpatialTheory):
                     else:
                         anchor = addresses.get(target)
                         if anchor is None:
-                            return UnfoldingOutcome(
-                                success=False,
-                                steps=steps,
-                                failure_kind="dangling_segment",
-                                failure_edge=(cell.source, cell.target),
-                                failure_atom=cell,
-                                failure_target=target,
-                                failure_detail=(
-                                    "{} must stop at {} but the left-hand side does not "
-                                    "allocate {}".format(demanded, target, target)
-                                ),
+                            return dangling_segment(
+                                negative, positive, moves, demanded, cell, target
                             )
                         if isinstance(anchor, PointsTo):
                             rule, side = "U4", None
                         else:
                             rule, side = "U5", EqAtom(anchor.source, anchor.target)
-                    current_clause, step = apply_rule(
-                        current_clause,
-                        positive,
-                        rule,
-                        remaining,
-                        [ListSegment(cell.source, cell.target), peeled],
-                        side_condition=side,
-                        description="split {} at {}".format(remaining, cell.target),
+                    moves.append(
+                        UnfoldingMove(
+                            rule,
+                            remaining,
+                            (cell, peeled),
+                            side,
+                            "split {} at {}",
+                            (remaining, cell.target),
+                        )
                     )
-                steps.append(step)
                 remaining = peeled
 
         # Phase 3: spatial resolution (shared across theories).
-        return resolve_spatial(positive, current_clause, steps)
+        return resolve_spatial(positive, negative, moves)
 
     # -- candidate model (Definition 4.1) ----------------------------------
     def model_heap_cells(

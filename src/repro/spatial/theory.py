@@ -137,6 +137,8 @@ class SpatialTheory:
         The consequences must be sound axioms of the theory: shapes no heap
         can realise yield ``Gamma -> Delta`` style pure clauses, with the
         emptiness equations of the involved segments added to ``Delta``.
+        Pairwise conflicts are found with
+        :func:`~repro.spatial.wellformedness.colliding_anchors`.
         """
         raise NotImplementedError
 
@@ -147,7 +149,11 @@ class SpatialTheory:
         the fixpoint of :meth:`well_formedness_consequences`).  The rewrite
         must require no search — the forced-path property of the fragment —
         and on failure must report one of the failure kinds that
-        :meth:`counterexample_candidates` knows how to realise.
+        :meth:`counterexample_candidates` knows how to realise.  The rewrite
+        is recorded as :class:`~repro.spatial.unfolding.UnfoldingMove`
+        records and finished by
+        :func:`~repro.spatial.unfolding.resolve_spatial`, which applies them
+        all at once.
         """
         raise NotImplementedError
 

@@ -33,6 +33,19 @@ The doubly-linked theory (:mod:`repro.spatial.dll`) instantiates the same
 rule skeleton over two-field cells, additionally tracking ``prev`` backlinks
 and the segment's last cell.
 
+A theory's ``unfold`` does not rewrite the negative clause itself: it
+records each U-rule application as an :class:`UnfoldingMove` (the rule, the
+atom it rewrites, the atoms replacing it, the side condition and a
+description, rendered when read).  :func:`resolve_spatial` then applies all
+moves to one atom multiset, builds the rewritten negative clause once,
+checks that its formula is ``Sigma`` and resolves it away.  A clause per
+step would re-sort and re-hash the whole formula at every step, making an
+unfolding quadratic in the length of the chains it walks.  Those per-step
+clauses of the paper's derivation (:class:`UnfoldingStep`, ``before`` and
+``after`` each rule) are replayed from the moves only when a caller reads
+:attr:`UnfoldingOutcome.steps`: the proof trace does, the prover's step
+counter (:attr:`UnfoldingOutcome.step_count`) does not.
+
 When the rewrite cannot be completed the procedure reports *why*, and the
 reason tells the counterexample builder how to exhibit a heap satisfying the
 left-hand side but not the right-hand side:
@@ -49,7 +62,7 @@ left-hand side but not the right-hand side:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.atoms import EqAtom, SpatialAtom, SpatialFormula
 from repro.logic.clauses import Clause
@@ -69,6 +82,29 @@ class UnfoldingStep:
     description: str = ""
 
 
+@dataclass(frozen=True)
+class UnfoldingMove:
+    """One U-rule application, recorded before any clause is rewritten.
+
+    The move rewrites one occurrence of ``old`` in the negative formula into
+    the atoms ``new`` and adds ``side_condition`` (when present) to
+    ``Delta'``.  Its description is ``template`` filled with ``subjects``,
+    rendered only when read.
+    """
+
+    rule: str
+    old: SpatialAtom
+    new: Tuple[SpatialAtom, ...]
+    side_condition: Optional[EqAtom]
+    template: str
+    subjects: Tuple[object, ...] = ()
+
+    @property
+    def description(self) -> str:
+        """What the step does, in words (shown in proof traces)."""
+        return self.template.format(*self.subjects)
+
+
 @dataclass
 class UnfoldingOutcome:
     """The result of attempting to unfold ``Sigma'`` against ``Sigma``.
@@ -80,8 +116,11 @@ class UnfoldingOutcome:
         clause.
     derived_pure:
         The pure clause produced by SR (only on success).
-    steps:
-        The rule applications performed, in order (ending with SR on success).
+    moves:
+        The U-rule applications performed, in order.  A ``dangling_segment``
+        failure keeps the moves made before it; other failures have none.
+    positive, negative:
+        The two premises, from which :attr:`steps` replays the moves.
     failure_kind:
         One of ``"mismatch"``, ``"next_expects_cell"``, ``"dangling_segment"``
         when ``success`` is false.
@@ -100,12 +139,70 @@ class UnfoldingOutcome:
 
     success: bool
     derived_pure: Optional[Clause] = None
-    steps: List[UnfoldingStep] = field(default_factory=list)
+    moves: Tuple[UnfoldingMove, ...] = ()
+    positive: Optional[Clause] = None
+    negative: Optional[Clause] = None
     failure_kind: Optional[str] = None
     failure_edge: Optional[Tuple[Const, Const]] = None
     failure_atom: Optional[SpatialAtom] = None
     failure_target: Optional[Const] = None
     failure_detail: str = ""
+    _steps: Optional[List[UnfoldingStep]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def step_count(self) -> int:
+        """The number of :attr:`steps`, without building them."""
+        return len(self.moves) + (1 if self.success else 0)
+
+    @property
+    def steps(self) -> List[UnfoldingStep]:
+        """The rule applications with their clauses, in order (ending with SR
+        on success), replayed from the moves on first access."""
+        if self._steps is None:
+            self._steps = _replay(self)
+        return self._steps
+
+
+def _replay(outcome: UnfoldingOutcome) -> List[UnfoldingStep]:
+    """The per-step clauses of an outcome: apply its moves one at a time."""
+    steps: List[UnfoldingStep] = []
+    current = outcome.negative
+    for move in outcome.moves:
+        assert current is not None and current.spatial is not None
+        delta = current.delta
+        if move.side_condition is not None:
+            delta = delta | {move.side_condition}
+        after = Clause(
+            current.gamma,
+            delta,
+            current.spatial.replace(move.old, move.new),
+            spatial_on_right=False,
+        )
+        steps.append(
+            UnfoldingStep(
+                rule=move.rule,
+                before=current,
+                after=after,
+                positive_premise=outcome.positive,
+                side_condition=move.side_condition,
+                description=move.description,
+            )
+        )
+        current = after
+    if outcome.success:
+        assert current is not None and outcome.derived_pure is not None
+        steps.append(
+            UnfoldingStep(
+                rule="SR",
+                before=current,
+                after=outcome.derived_pure,
+                positive_premise=outcome.positive,
+                description="resolve the matching spatial formulas away",
+            )
+        )
+    return steps
 
 
 def address_map(sigma: SpatialFormula) -> Dict[Const, SpatialAtom]:
@@ -128,32 +225,6 @@ def mismatch(detail: str) -> UnfoldingOutcome:
     return UnfoldingOutcome(success=False, failure_kind="mismatch", failure_detail=detail)
 
 
-def apply_rule(
-    negative: Clause,
-    positive: Clause,
-    rule: str,
-    old_atom: SpatialAtom,
-    new_atoms: List[SpatialAtom],
-    side_condition: Optional[EqAtom],
-    description: str,
-) -> Tuple[Clause, UnfoldingStep]:
-    """Rewrite one atom of the negative clause's formula and record the step."""
-    sigma = negative.spatial
-    assert sigma is not None
-    new_sigma = sigma.replace(old_atom, new_atoms)
-    new_delta = negative.delta | {side_condition} if side_condition is not None else negative.delta
-    updated = Clause(negative.gamma, new_delta, new_sigma, spatial_on_right=False)
-    step = UnfoldingStep(
-        rule=rule,
-        before=negative,
-        after=updated,
-        positive_premise=positive,
-        side_condition=side_condition,
-        description=description,
-    )
-    return updated, step
-
-
 def unclaimed_cells_mismatch(claimed: Dict[Const, bool]) -> Optional[UnfoldingOutcome]:
     """The end-of-matching check: every positive atom must have been claimed.
 
@@ -170,37 +241,107 @@ def unclaimed_cells_mismatch(claimed: Dict[Const, bool]) -> Optional[UnfoldingOu
     )
 
 
+def _rewrite(negative: Clause, moves: Sequence[UnfoldingMove]) -> Clause:
+    """The negative clause after all ``moves``, built once.
+
+    The moves are applied to one atom multiset — an atom a move introduces
+    may be rewritten again by a later move, as a peeled segment is — and the
+    side conditions are added to ``Delta'`` together.  The result equals the
+    clause that applying the moves one at a time produces.
+    """
+    sigma = negative.spatial
+    assert sigma is not None
+    if not moves:
+        return negative
+    # Keyed by the structural sort key, which determines the atom and hashes
+    # without calling back into Python.
+    counts: Dict[Tuple[str, ...], int] = {}
+    atoms: Dict[Tuple[str, ...], SpatialAtom] = {}
+    for atom in sigma:
+        key = atom.sort_key
+        counts[key] = counts.get(key, 0) + 1
+        atoms[key] = atom
+    sides: List[EqAtom] = []
+    for move in moves:
+        key = move.old.sort_key
+        left = counts.get(key, 0)
+        if not left:
+            raise KeyError("atom {} not present in {}".format(move.old, sigma))
+        counts[key] = left - 1
+        for atom in move.new:
+            key = atom.sort_key
+            counts[key] = counts.get(key, 0) + 1
+            atoms[key] = atom
+        if move.side_condition is not None:
+            sides.append(move.side_condition)
+    rewritten = [atoms[key] for key, count in counts.items() for _ in range(count)]
+    delta = negative.delta.union(sides) if sides else negative.delta
+    return Clause(negative.gamma, delta, SpatialFormula(rewritten), spatial_on_right=False)
+
+
+def dangling_segment(
+    negative: Clause,
+    positive: Clause,
+    moves: Sequence[UnfoldingMove],
+    demanded: SpatialAtom,
+    piece: SpatialAtom,
+    target: Const,
+) -> UnfoldingOutcome:
+    """The case-(b) failure: ``demanded`` must stop at ``target``, which the
+    left-hand side does not allocate, while its path runs through ``piece``.
+
+    The moves made before the failure stay on the outcome (they count as
+    unfolding steps).
+    """
+    return UnfoldingOutcome(
+        success=False,
+        moves=tuple(moves),
+        positive=positive,
+        negative=negative,
+        failure_kind="dangling_segment",
+        failure_edge=(piece.source, piece.target),
+        failure_atom=piece,
+        failure_target=target,
+        failure_detail=(
+            "{} must stop at {} but the left-hand side does not allocate {}".format(
+                demanded, target, target
+            )
+        ),
+    )
+
+
 def resolve_spatial(
-    positive: Clause, current_clause: Clause, steps: List[UnfoldingStep]
+    positive: Clause, negative: Clause, moves: Sequence[UnfoldingMove]
 ) -> UnfoldingOutcome:
     """Spatial resolution: the shared final phase of every theory's unfolding.
 
-    After the rewrite the two spatial formulas coincide (asserted here) and SR
-    produces the pure clause ``Gamma u Gamma' -> Delta u Delta'``.
+    The moves rewrite the negative clause once (:func:`_rewrite`); the two
+    spatial formulas then coincide (asserted here) and SR produces the pure
+    clause ``Gamma u Gamma' -> Delta u Delta'``.
     """
     sigma = positive.spatial
-    rewritten_sigma = current_clause.spatial
+    rewritten = _rewrite(negative, moves)
+    rewritten_sigma = rewritten.spatial
     assert sigma is not None and rewritten_sigma is not None
-    if rewritten_sigma.drop_trivial() != sigma.drop_trivial():
+    # Both formulas are sorted, so comparing their non-trivial atoms in order
+    # compares the formulas without their trivial atoms.
+    if [atom for atom in rewritten_sigma if not atom.is_trivial] != [
+        atom for atom in sigma if not atom.is_trivial
+    ]:
         raise AssertionError(
             "unfolding completed but the rewritten formula {} differs from {}".format(
                 rewritten_sigma, sigma
             )
         )
 
-    derived = Clause.pure(
-        positive.gamma | current_clause.gamma, positive.delta | current_clause.delta
+    derived = Clause.pure(positive.gamma | rewritten.gamma, positive.delta | rewritten.delta)
+    return UnfoldingOutcome(
+        success=True,
+        derived_pure=derived,
+        moves=tuple(moves),
+        positive=positive,
+        negative=negative,
     )
-    steps.append(
-        UnfoldingStep(
-            rule="SR",
-            before=current_clause,
-            after=derived,
-            positive_premise=positive,
-            description="resolve the matching spatial formulas away",
-        )
-    )
-    return UnfoldingOutcome(success=True, derived_pure=derived, steps=steps)
 
 
 def unfold(positive: Clause, negative: Clause) -> UnfoldingOutcome:

@@ -26,17 +26,25 @@ For the builtin singly-linked theory these are the paper's rules W1–W5
 The doubly-linked rules (W1–W5 analogues plus the back-anchor rules D1–D4)
 live in :mod:`repro.spatial.dll`.
 
-Like normalisation, computing these consequences involves no search: it is a
-single pass over the (finitely many) atoms and pairs of atoms of ``Sigma``.
+Like normalisation, computing these consequences involves no search, and it
+takes time linear in ``Sigma`` plus the number of conflicts found: one pass
+over the atoms for the per-atom rules (W1, W2 and the ``dll`` D1-D3), and for
+the pairwise rules one pass that files every *allocation anchor* (an
+address, or a ``dll`` segment's back cell) in a bucket per location, see
+:func:`colliding_anchors`.  Only atoms sharing a bucket are ever compared, so
+a well-formed formula costs one dictionary insert per anchor instead of a
+test per pair of atoms.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.logic.atoms import SpatialAtom
 from repro.logic.clauses import Clause
+from repro.logic.terms import NIL_NAME, Const
 from repro.spatial.theory import theory_of
 
 
@@ -69,6 +77,68 @@ def consequence_emitter(clause: Clause, consequences: List[WellFormednessConsequ
         )
 
     return emit
+
+
+def colliding_anchors(
+    anchor_lists: Sequence[Sequence[Const]],
+) -> Iterator[Tuple[int, int, int, int]]:
+    """Every pair of anchors of two different atoms at one non-nil location.
+
+    ``anchor_lists[i]`` holds the locations the formula's ``i``-th atom
+    allocates (its allocation anchors).  The result is one ``(i, j, ki, kj)``
+    per colliding pair — anchor ``ki`` of atom ``i`` and anchor ``kj`` of
+    atom ``j`` name the same location, ``i < j`` — in the order of the
+    all-pairs scan ``for i < j, for ki, for kj``, which is the order the
+    consequences have always come out in.  Locations named ``nil`` are
+    skipped (the per-atom rules own them); duplicate atoms and three or more
+    anchors at one location pair up exactly as in the scan.
+
+    Every anchor is filed in a bucket per location name (constants compare
+    by name) and paired with the later entries of its bucket; an atom's
+    partners from different buckets are merged by ``(j, ki, kj)``.  The cost
+    is linear in the anchors plus the colliding pairs, where the scan paid
+    for every pair of atoms.
+    """
+    buckets: Dict[str, List[Tuple[int, int]]] = {}
+    filed = 0
+    for i, anchors in enumerate(anchor_lists):
+        for k, location in enumerate(anchors):
+            name = location.name
+            if name == NIL_NAME:
+                continue
+            filed += 1
+            bucket = buckets.get(name)
+            if bucket is None:
+                buckets[name] = [(i, k)]
+            else:
+                bucket.append((i, k))
+    if len(buckets) == filed:
+        return  # every location is allocated once: nothing collides
+
+    # Second pass in (i, k) order: an anchor's entry is the next unvisited
+    # one of its bucket, and its partners are the entries after it.
+    visited: Dict[str, int] = {}
+    for i, anchors in enumerate(anchor_lists):
+        streams: List[Iterator[Tuple[int, int, int, int]]] = []
+        for k, location in enumerate(anchors):
+            bucket = buckets.get(location.name)
+            if bucket is None or len(bucket) == 1:
+                continue
+            position = visited.get(location.name, 0) + 1
+            visited[location.name] = position
+            if position < len(bucket):
+                streams.append(_partners(i, k, bucket, position))
+        if streams:
+            yield from streams[0] if len(streams) == 1 else heapq.merge(*streams)
+
+
+def _partners(
+    i: int, k: int, bucket: List[Tuple[int, int]], start: int
+) -> Iterator[Tuple[int, int, int, int]]:
+    """Anchor ``k`` of atom ``i`` paired with ``bucket[start:]``, other atoms only."""
+    for j, kj in bucket[start:]:
+        if j != i:
+            yield i, j, k, kj
 
 
 def well_formedness_consequences(clause: Clause) -> List[WellFormednessConsequence]:

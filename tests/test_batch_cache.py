@@ -21,6 +21,7 @@ from repro.core.prover import Prover, ProverTimeout
 from repro.frontend import all_programs, generate_vcs, prove_procedure
 from repro.logic.canonical import TooSymmetricError
 from repro.logic.formula import Entailment, lseg, neq, pts
+from repro.logic.parser import parse_entailment
 from repro.logic.terms import make_const
 from repro.semantics.satisfaction import falsifies_entailment
 from tests.conftest import make_random_entailment
@@ -304,6 +305,44 @@ class TestFollowerEcho:
         assert cache.hit_rate == 0.0
         cache.hits, cache.misses, cache.uncacheable = 3, 1, 4
         assert cache.hit_rate == pytest.approx(3 / 8)
+
+
+class TestProofRequests:
+    """A request for a proof is never answered by a proof-less entry."""
+
+    VALID = parse_entailment("a |-> b * b |-> nil |- lseg(a, nil)")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_proof_request_is_not_answered_by_a_proofless_hit(self, jobs):
+        with BatchProver(ProverConfig(record_proof=False), jobs=jobs) as engine:
+            (plain,) = engine.prove_all([self.VALID])
+            assert plain.is_valid and plain.proof is None
+            (proved,) = engine.prove_all([_alpha(self.VALID, "r")], record_proof=True)
+            assert proved.is_valid and proved.proof is not None and proved.proof.is_refutation
+            assert not proved.from_cache
+            # The proved result replaced the entry: the next request hits it.
+            (again,) = engine.prove_all([self.VALID], record_proof=True)
+            assert again.from_cache and again.proof is not None
+            stats = engine.statistics
+            assert (stats.cache_hits, stats.cache_misses) == (1, 2)
+            assert (engine.cache.hits, engine.cache.misses) == (1, 2)
+            assert stats.cache_hits + stats.cache_misses + engine.cache.uncacheable == 3
+
+    def test_proofless_hit_still_answers_requests_without_proof(self):
+        with BatchProver(ProverConfig(record_proof=False), jobs=1) as engine:
+            engine.prove_all([self.VALID])
+            (hit,) = engine.prove_all([self.VALID])
+            assert hit.from_cache and hit.proof is None
+            assert engine.statistics.cache_hits == 1
+
+    def test_caching_prover_proves_when_its_config_asks_for_proofs(self):
+        cache = ProofCache()
+        CachingProver(cache=cache, config=ProverConfig(record_proof=False)).prove(self.VALID)
+        result = CachingProver(cache=cache).prove(self.VALID)
+        assert result.is_valid and result.proof is not None and not result.from_cache
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert CachingProver(cache=cache).prove(self.VALID).proof is not None
+        assert cache.hits == 1
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,19 @@ class TestHttpApi:
         _, plain = _post(base, "/prove", {"entailment": "m |-> nil |- lseg(m, nil)"})
         assert "proof" not in plain["results"][0]
 
+    def test_proof_request_is_not_answered_by_a_proofless_hit(self, server):
+        base = "http://127.0.0.1:{}".format(server.port)
+        _, plain = _post(base, "/prove", {"entailment": "p |-> q * q |-> nil |- lseg(p, nil)"})
+        assert plain["results"][0]["verdict"] == "valid"
+        _, asked = _post(
+            base,
+            "/prove",
+            {"entailment": "s |-> t * t |-> nil |- lseg(s, nil)", "proof": True},
+        )
+        entry = asked["results"][0]
+        assert entry["verdict"] == "valid" and entry["proof"]
+        assert entry["from_cache"] is False
+
     def test_per_request_timeout_is_honoured(self, server):
         base = "http://127.0.0.1:{}".format(server.port)
         hard = "lseg(x, y) * lseg(y, z) * lseg(z, x) * x != z |- lseg(x, z)"

@@ -180,6 +180,37 @@ class TestUnfolding:
         assert "U5" in [step.rule for step in outcome.steps]
         assert EqAtom("z", "w") in outcome.derived_pure.delta
 
+    def test_steps_replay_the_moves_on_demand(self):
+        positive = Clause.positive_spatial(
+            SpatialFormula([pts("x", "y"), pts("y", "z"), lseg("z", "w"), lseg("w", "nil")])
+        )
+        negative = Clause.negative_spatial(SpatialFormula([lseg("x", "nil")]))
+        outcome = unfold(positive, negative)
+        assert outcome.success
+        assert [move.rule for move in outcome.moves] == ["U2", "U2", "U3"]
+        assert outcome.step_count == 4
+        steps = outcome.steps
+        assert [step.rule for step in steps] == ["U2", "U2", "U3", "SR"]
+        assert steps is outcome.steps  # built once
+        # Each step rewrites the previous one's clause; the last rewrite is
+        # the clause resolved away, whose formula is the positive one.
+        for before, after in zip(steps, steps[1:]):
+            assert after.before == before.after
+        assert steps[-2].after.spatial == positive.spatial
+        assert steps[-1].after == outcome.derived_pure
+        assert EqAtom("x", "nil") in steps[0].after.delta
+        assert steps[0].description == "peel next(x, y) off lseg(x, nil)"
+
+    def test_a_dangling_failure_keeps_the_moves_made_before_it(self):
+        positive = Clause.positive_spatial(
+            SpatialFormula([pts("x", "y"), lseg("y", "z"), lseg("z", "w")])
+        )
+        negative = Clause.negative_spatial(SpatialFormula([lseg("x", "w")]))
+        outcome = unfold(positive, negative)
+        assert not outcome.success and outcome.failure_kind == "dangling_segment"
+        assert outcome.step_count == 1
+        assert [step.rule for step in outcome.steps] == ["U2"]
+
     def test_next_expects_cell_failure(self):
         positive = Clause.positive_spatial(SpatialFormula([lseg("x", "y")]))
         negative = Clause.negative_spatial(SpatialFormula([pts("x", "y")]))
