@@ -94,8 +94,8 @@ def test_theory_macro(benchmark, theory, family, bench_instances):
     benchmark.extra_info["valid"] = valid
 
 
-@pytest.mark.parametrize("use_index", [True, False], ids=["indexed", "linear-scan"])
-def test_saturation_micro_engine_loop(benchmark, use_index):
+@pytest.mark.parametrize("use_kernel", [True, False], ids=["kernel", "reference"])
+def test_saturation_micro_engine_loop(benchmark, use_kernel):
     """The bare given-clause loop on the pure clauses of a large random batch."""
     batch = random_unsat_batch(UnsatParameters.paper(18), 10, seed=1018)
     problems = []
@@ -107,7 +107,7 @@ def test_saturation_micro_engine_loop(benchmark, use_index):
     def saturate_all():
         generated = 0
         for order, clauses in problems:
-            engine = SaturationEngine(order, use_index=use_index)
+            engine = SaturationEngine(order, use_kernel=use_kernel)
             engine.add_clauses(clauses)
             engine.saturate()
             generated += engine.generated_count
@@ -115,4 +115,4 @@ def test_saturation_micro_engine_loop(benchmark, use_index):
 
     generated = benchmark.pedantic(saturate_all, rounds=1, iterations=1)
     benchmark.extra_info["generated_clauses"] = generated
-    benchmark.extra_info["use_index"] = use_index
+    benchmark.extra_info["use_kernel"] = use_kernel

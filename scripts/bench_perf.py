@@ -11,8 +11,8 @@ normalisation and well-formedness reasoning.
 
 Two engine configurations are timed on identical batches:
 
-* ``indexed``   — the default configuration (clause index + incremental
-  model generation);
+* ``indexed``   — the default configuration (the dense kernel with its
+  clause index, plus incremental model generation);
 * ``reference`` — ``ProverConfig.reference()``: linear-scan subsumption and
   partner selection, from-scratch model generation every round.  This is the
   seed algorithm (it still benefits from shared data-structure speedups such
@@ -88,172 +88,15 @@ def run_profile(top: int = 25) -> int:
     return 0
 
 
-def run_ablation_section(instances: int, repeats: int = 3, variables: int = 20,
-                        only: "tuple | None" = None):
-    """Single-lever ablations on the n=20 row (``variables``/``only`` trim it
-    down for the CI quick mode: default vs unit_rewrite only, so the
-    tests.yml demodulation gate always has fresh interleaved data).
-
-    * ``default``      — the full default configuration, re-timed inside this
-      section so the single-lever rows compare against a measurement taken
-      under identical conditions (same batch, same process, adjacent in
-      time);
-    * ``kernel_off``   — clause index + incremental models, symbolic engine;
-    * ``dense_model``  — the kernel with the dense-side model generator
-      disabled (candidate models maintained over decoded symbolic clauses);
-      must generate identical clauses to the default;
-    * ``bitset``       — exact bitset subsumption (big-int masks + numpy bulk
-      bucket scans); must generate identical clauses to the default;
-    * ``unit_rewrite`` — the kernel plus unit-rewrite demodulation (changes
-      ``generated_clauses``; verdict-equivalence is pinned by the fuzzer).
-      Since the backward-demodulation scheduling work this row is expected to
-      *beat* the default wall-clock — CI gates on it (see tests.yml).
-
-    Timings are best-of-``repeats`` with the configurations *interleaved*
-    (round-robin rounds, a fresh warmed prover per measurement): on a busy
-    host, back-to-back sequential passes charge whichever configuration runs
-    during a noisy window — observed inverting the unit_rewrite-vs-default
-    comparison — while interleaved minima converge on the uncontended cost
-    of each lever.
-    """
-    from dataclasses import replace
-
-    batch = random_unsat_batch(UnsatParameters.paper(variables), instances, seed=1000 + variables)
-    base = ProverConfig().for_benchmarking()
-    configs = (
-        ("default", base),
-        ("kernel_off", replace(base, use_int_kernel=False)),
-        ("dense_model", replace(base, use_dense_models=False)),
-        ("bitset", base.with_bitset()),
-        ("unit_rewrite", base.with_unit_rewrite()),
-    )
-    if only is not None:
-        configs = tuple(pair for pair in configs if pair[0] in only)
-    #: rows whose generated_clauses must equal the default's (pure
-    #: optimisations; unit_rewrite legitimately diverges).
-    identical = ("kernel_off", "dense_model", "bitset")
-    best = {}
-    counters = {}
-    for _ in range(repeats):
-        for label, config in configs:
-            prover = Prover(config)
-            prover.prove(batch[0])  # warm the caches outside the timed region
-            start = time.perf_counter()
-            valid = 0
-            generated = 0
-            for entailment in batch:
-                result = prover.prove(entailment)
-                valid += result.is_valid
-                generated += result.statistics.generated_clauses
-            elapsed = time.perf_counter() - start
-            if label in counters and counters[label] != (valid, generated):
-                raise SystemExit(
-                    "bench_perf: ablation {} is not deterministic across "
-                    "repeats".format(label)
-                )
-            counters[label] = (valid, generated)
-            best[label] = min(best.get(label, elapsed), elapsed)
-    rows = {}
-    for label, _ in configs:
-        valid, generated = counters[label]
-        rows[label] = {
-            "variables": variables,
-            "instances": instances,
-            "seconds": round(best[label], 4),
-            "valid": valid,
-            "generated_clauses": generated,
-        }
-        if label in identical and generated != rows["default"]["generated_clauses"]:
-            raise SystemExit(
-                "bench_perf: ablation {} diverged from the default configuration "
-                "on generated_clauses ({} vs {})".format(
-                    label, generated, rows["default"]["generated_clauses"]
-                )
-            )
-        print(
-            "[bench_perf] ablation/{:<12} n={} {:>8.3f}s  valid={:<3} generated={}".format(
-                label, variables, best[label], valid, generated
-            )
-        )
-    return rows
-
-
-def run_supervision_section(quick: bool, jobs: int):
-    """The supervision-overhead ablation: supervised pool vs the PR-5 pool.
-
-    Both pools prove the same Table 1 n=16 row (quick: n=12) with caching
-    off and no fault injection, so the delta is pure supervision machinery:
-    per-task dispatch over pipes, liveness tracking and watchdog horizon
-    computation against ``multiprocessing.Pool``'s chunked ``imap``.  The
-    gate is the ISSUE 6 acceptance bar — supervision may cost at most 5%
-    (plus a small absolute slack so sub-second rows are not gated on
-    scheduler noise).
-    """
-    variables = 12 if quick else 16
-    instances = 12 if quick else 40
-    jobs = max(2, jobs)  # the legacy pool path only engages with jobs > 1
-    batch = random_unsat_batch(
-        UnsatParameters.paper(variables), instances, seed=1000 + variables
-    )
-    config = ProverConfig().for_benchmarking()
-    timings = {}
-    verdicts = {}
-    for label, supervised in (("unsupervised", False), ("supervised", True)):
-        with BatchProver(config, jobs=jobs, cache=False, supervised=supervised) as engine:
-            engine.prove_all(batch[:1])  # warm the pool outside the timed region
-            best = None
-            for _ in range(2):  # best-of-2: this row gates, so shave scheduler noise
-                start = time.perf_counter()
-                results = engine.prove_all(batch)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            timings[label] = best
-            verdicts[label] = [r.is_valid for r in results]
-            if not engine.statistics.parallel:
-                print(
-                    "[bench_perf] supervision: warning: {} pool unavailable, "
-                    "ran in-process".format(label)
-                )
-    if verdicts["supervised"] != verdicts["unsupervised"]:
-        raise SystemExit("bench_perf: supervised verdicts diverge from the legacy pool")
-    supervised_s = timings["supervised"]
-    unsupervised_s = timings["unsupervised"]
-    overhead_pct = round(100.0 * (supervised_s / unsupervised_s - 1.0), 1)
-    gate_seconds = unsupervised_s * 1.05 + 0.25
-    row = {
-        "variables": variables,
-        "instances": instances,
-        "jobs": jobs,
-        "supervised_seconds": round(supervised_s, 4),
-        "unsupervised_seconds": round(unsupervised_s, 4),
-        "overhead_pct": overhead_pct,
-        "gate": "supervised <= unsupervised * 1.05 + 0.25s",
-        "valid": sum(verdicts["supervised"]),
-    }
-    print(
-        "[bench_perf] ablation/supervision_overhead n={} jobs={} "
-        "supervised {:.3f}s  unsupervised {:.3f}s  ({:+.1f}%)".format(
-            variables, jobs, supervised_s, unsupervised_s, overhead_pct
-        )
-    )
-    if supervised_s > gate_seconds:
-        raise SystemExit(
-            "bench_perf: supervision overhead gate failed: supervised {:.3f}s "
-            "> {:.3f}s (unsupervised {:.3f}s * 1.05 + 0.25)".format(
-                supervised_s, gate_seconds, unsupervised_s
-            )
-        )
-    return row
-
-
 def run_rows_section(configs, rows, instances: int, repeats: int = 3):
     """Time the given ``(label, config)`` pairs over every workload row.
 
     Per row, every configuration is timed ``repeats`` times with the
     configurations interleaved (a fresh warmed prover per measurement), and
-    the best round is reported — see ``run_ablation_section`` for why
-    sequential single-pass timing is not trustworthy on a shared host.
-    Returns one result list per configuration, in input order.
+    the best round is reported: on a busy host, back-to-back sequential
+    passes charge whichever configuration runs during a noisy window, while
+    interleaved minima converge on the uncontended cost of each.  Returns
+    one result list per configuration, in input order.
     """
     results = {label: [] for label, _ in configs}
     for variables in rows:
@@ -579,21 +422,6 @@ def main(argv=None) -> int:
 
     batch_section = run_batch_section(args.quick, jobs)
     theory_section = run_theory_section(args.quick)
-    # Quick mode still produces the default-vs-unit_rewrite pair so the CI
-    # demodulation gate has data, but on the *full* n=20 batch: at the
-    # quick instance counts the pair lands within a few milliseconds and
-    # the margin the gate protects (~10% — see ablations.unit_rewrite in
-    # the committed BENCH file) only shows at real batch sizes.  This adds
-    # a few seconds to the quick run; the full run measures every lever.
-    if args.quick:
-        ablation_section = run_ablation_section(
-            40, repeats=2, variables=20, only=("default", "unit_rewrite")
-        )
-    else:
-        ablation_section = run_ablation_section(instances, repeats=repeats)
-    supervision_row = run_supervision_section(args.quick, jobs)
-    ablation_section = dict(ablation_section or {})
-    ablation_section["supervision_overhead"] = supervision_row
 
     total_indexed = sum(row["indexed_seconds"] for row in merged)
     total_reference = sum(row["reference_seconds"] for row in merged)
@@ -605,35 +433,22 @@ def main(argv=None) -> int:
         "rows": merged,
         "batch": batch_section,
         "theories": theory_section,
-        "ablations": ablation_section,
         "total": {
             "indexed_seconds": round(total_indexed, 4),
             "reference_seconds": round(total_reference, 4),
             "speedup_vs_reference": round(total_reference / total_indexed, 2),
         },
         "notes": (
-            "indexed_seconds run the default configuration — since PR 5 that "
-            "is the dense integer clause kernel plus the adaptive clause "
-            "index and incremental model maintenance; unit-rewrite stays "
-            "off, so generated_clauses must equal the reference's (the "
-            "script aborts otherwise).  reference_seconds re-run the "
-            "unindexed symbolic algorithm in-tree on the same machine and "
-            "are the portable trajectory metric (a lower bound on the "
-            "speedup over the seed commit).  seed_seconds, when present "
-            "(--seed-baseline), were measured at the seed commit (da8c932) "
-            "with 40 instances per row and are only comparable on the "
-            "machine that produced them.  ablations single-lever the n=20 "
-            "row against the co-measured default row: kernel_off keeps "
-            "index+incremental on the symbolic engine; dense_model disables "
-            "the dense-side model generator (decoded-clause model "
-            "maintenance; identical generated_clauses enforced); bitset "
-            "switches subsumption to exact literal bitsets (identical "
-            "generated_clauses enforced); unit_rewrite adds demodulation "
-            "(different generated_clauses by design, verdict-equivalence "
-            "pinned by the fuzzer) and is expected to beat the default "
-            "wall-clock (CI gates on it); supervision_overhead compares the supervised worker "
-            "pool against the pre-supervision chunked pool on the n=16 row "
-            "with injection disabled, gated at 5% (+0.25s slack).  "
+            "indexed_seconds run the default configuration — the dense "
+            "integer clause kernel plus the adaptive clause index and "
+            "incremental model maintenance, so generated_clauses must equal "
+            "the reference's (the script aborts otherwise).  "
+            "reference_seconds re-run the unindexed symbolic algorithm "
+            "in-tree on the same machine and are the portable trajectory "
+            "metric (a lower bound on the speedup over the seed commit).  "
+            "seed_seconds, when present (--seed-baseline), were measured at "
+            "the seed commit (da8c932) with 40 instances per row and are "
+            "only comparable on the machine that produced them.  "
             "batch.parallel scaling is bounded by cpu_count (a "
             "1-core host shows the IPC overhead, not a speedup); "
             "batch.cache is host-independent: it reports the throughput of "

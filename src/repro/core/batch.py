@@ -50,7 +50,6 @@ testing; failures it causes are marked ``injected``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import threading
@@ -104,8 +103,6 @@ def default_jobs() -> int:
 # fork and spawn start methods; the prover is created once per worker process
 # by the initializer and reused for every task.
 # ---------------------------------------------------------------------------
-
-_WORKER_PROVER: Optional[Prover] = None
 
 #: Per-batch configuration overrides travelling with every task payload:
 #: ``(max_seconds, record_proof)``, each ``None`` meaning "keep the pool's
@@ -206,26 +203,6 @@ def _supervised_worker_init(config: ProverConfig, fault_plan: Optional[FaultPlan
         return "ok", result
 
     return prove_task
-
-
-def _initialize_worker(config: ProverConfig) -> None:
-    """Legacy chunked-pool initialiser (kept for the supervision ablation)."""
-    global _WORKER_PROVER
-    _apply_memory_limit(config.max_memory_mb)
-    _WORKER_PROVER = _warm_prover(config)
-
-
-def _prove_in_worker(
-    task: Tuple[int, Entailment, TaskOverrides]
-) -> Tuple[int, Optional[ProofResult]]:
-    index, entailment, overrides = task
-    assert _WORKER_PROVER is not None, "worker used before initialisation"
-    effective = _apply_overrides(_WORKER_PROVER.config, overrides)
-    active = _WORKER_PROVER if effective is _WORKER_PROVER.config else Prover(effective)
-    try:
-        return index, active.prove(_reintern(entailment))
-    except ProverTimeout:
-        return index, None
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +341,6 @@ class BatchProver:
         A :class:`~repro.core.faults.FaultPlan` to disturb this batch with
         (chaos testing).  ``None`` reads ``SLP_FAULT_PLAN`` from the
         environment; normal operation has neither.
-    supervised:
-        ``False`` selects the legacy chunked ``multiprocessing.Pool`` path —
-        no supervision, no retries, crash-fragile.  Kept for the
-        ``supervision_overhead`` ablation benchmark only.
-    chunk_size:
-        Tasks per dispatch of the *legacy* pool (ignored when supervised).
     mp_context:
         A :mod:`multiprocessing` context (or start-method name) to use
         instead of the default (fork where available).  Mainly for tests.
@@ -387,14 +358,12 @@ class BatchProver:
         config: Optional[ProverConfig] = None,
         jobs: int = 1,
         cache: Union[bool, ProofCache, None] = True,
-        chunk_size: Optional[int] = None,
         mp_context=None,
         retries: int = 2,
         grace_factor: float = 2.0,
         backoff_base: float = 0.05,
         backoff_cap: float = 1.0,
         fault_plan: Optional[FaultPlan] = None,
-        supervised: bool = True,
         drain_seconds: float = 5.0,
         shared_dispatch: bool = False,
     ):
@@ -412,12 +381,10 @@ class BatchProver:
             self.cache = None
         else:
             self.cache = cache
-        self.chunk_size = chunk_size
         self.retries = retries
         self.grace_factor = grace_factor
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.supervised = supervised
         self.drain_seconds = drain_seconds
         #: Thread-safe dispatch facade: ``True`` lets any number of threads
         #: call :meth:`iter_results`/:meth:`prove_all` concurrently against
@@ -431,7 +398,6 @@ class BatchProver:
         self._mp_context = mp_context
         self._pool_lock = threading.Lock()
         self._pool: Optional[SupervisedPool] = None
-        self._legacy_pool = None
         self._pool_unavailable = False
         self._local_prover: Optional[Prover] = None
         self._thread_local = threading.local()
@@ -451,7 +417,6 @@ class BatchProver:
         """
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            legacy, self._legacy_pool = self._legacy_pool, None
             self._closed = True
         if pool is not None:
             if self.shared_dispatch:
@@ -462,14 +427,6 @@ class BatchProver:
                     self.statistics.retried += pool.retried
                     self.statistics.respawned_workers += pool.respawned_workers
             pool.close(self.drain_seconds)
-        if legacy is not None:
-            legacy.close()  # no more tasks; lets workers finish and exit
-            joiner = threading.Thread(target=legacy.join, daemon=True)
-            joiner.start()
-            joiner.join(self.drain_seconds)
-            if joiner.is_alive():
-                legacy.terminate()
-                joiner.join(1.0)
 
     def __enter__(self) -> "BatchProver":
         return self
@@ -482,7 +439,7 @@ class BatchProver:
         # orphan its worker processes.  Interpreter-shutdown failures are
         # swallowed — there is nothing useful to do with them in __del__.
         try:
-            if not self._closed and (self._pool is not None or self._legacy_pool is not None):
+            if not self._closed and self._pool is not None:
                 self.close()
         except Exception:
             pass
@@ -534,32 +491,6 @@ class BatchProver:
         if self.shared_dispatch and pool is not None:
             return {"retried": pool.retried, "respawned_workers": pool.respawned_workers}
         return {"retried": 0, "respawned_workers": 0}
-
-    def _ensure_legacy_pool(self):
-        """The unsupervised chunked pool (ablation benchmark only)."""
-        self._closed = False
-        if self._legacy_pool is not None:
-            return self._legacy_pool
-        if self._pool_unavailable:
-            return None
-        try:
-            context = self._mp_context
-            if isinstance(context, str):
-                context = multiprocessing.get_context(context)
-            if context is None:
-                methods = multiprocessing.get_all_start_methods()
-                context = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None
-                )
-            self._legacy_pool = context.Pool(
-                processes=self.jobs,
-                initializer=_initialize_worker,
-                initargs=(self.config,),
-            )
-        except _POOL_UNAVAILABLE_ERRORS:
-            self._pool_unavailable = True
-            return None
-        return self._legacy_pool
 
     # -- in-process execution ---------------------------------------------
     def _local_prover_for_thread(self) -> Prover:
@@ -682,23 +613,17 @@ class BatchProver:
                 1 for index, _ in tasks if self._fault_plan.fault_at(index) is not None
             )
         if self.jobs > 1:
-            if self.supervised:
-                pool = self._ensure_pool()
-                if pool is not None:
-                    if self.shared_dispatch:
-                        yield from self._execute_shared(
-                            pool, tasks, overrides, stats, priority
-                        )
-                    else:
-                        yield from self._execute_supervised(
-                            pool, tasks, overrides, stats
-                        )
-                    return
-            else:
-                legacy = self._ensure_legacy_pool()
-                if legacy is not None:
-                    yield from self._execute_legacy(legacy, tasks, overrides, stats)
-                    return
+            pool = self._ensure_pool()
+            if pool is not None:
+                if self.shared_dispatch:
+                    yield from self._execute_shared(
+                        pool, tasks, overrides, stats, priority
+                    )
+                else:
+                    yield from self._execute_supervised(
+                        pool, tasks, overrides, stats
+                    )
+                return
         for index, entailment in tasks:
             yield index, self._mark_injected(
                 index, self._prove_local(index, entailment, overrides, stats)
@@ -767,23 +692,6 @@ class BatchProver:
         finally:
             stats.retried += pool.retried - retried_before
             stats.respawned_workers += pool.respawned_workers - respawned_before
-
-    def _execute_legacy(
-        self,
-        pool,
-        tasks: Sequence[Tuple[int, Entailment]],
-        overrides: TaskOverrides,
-        stats: BatchStatistics,
-    ) -> Iterator[Tuple[int, BatchOutcome]]:
-        stats.parallel = True
-        chunk = self.chunk_size
-        if chunk is None:
-            chunk = max(1, len(tasks) // (self.jobs * 4))
-        payloads = [(index, entailment, overrides) for index, entailment in tasks]
-        for index, result in pool.imap_unordered(_prove_in_worker, payloads, chunksize=chunk):
-            if result is None:
-                result = FailureInfo(kind="timeout", detail="cooperative deadline")
-            yield index, result
 
     def _echo_for_follower(
         self,

@@ -1,8 +1,14 @@
 """Configuration of the prover.
 
-All knobs have safe defaults; they exist mainly for the benchmark harness
-(e.g. switching off proof recording when only timing matters) and for the
-ablation study (running with additional sanity checks enabled).
+The prover runs one of two engines.  The default is the production engine:
+the dense integer clause kernel with its adaptive clause index, and candidate
+models maintained incrementally on the dense side.  :meth:`ProverConfig.reference`
+selects the reference oracle: the symbolic, unindexed given-clause loop with
+``generate_model`` run from scratch every round.  The two derive identical
+clauses in an identical order; the reference exists so that tests, the
+differential fuzzer and the benchmark's expected verdicts have an
+independent implementation to compare against.  The remaining fields are
+budgets and optional bookkeeping.
 """
 
 from __future__ import annotations
@@ -22,21 +28,6 @@ class ProverConfig:
         inputs in benchmarks.
     max_iterations:
         Budget on iterations of the outer loop of the Figure 3 algorithm.
-    saturation_chunk:
-        Number of given clauses processed per saturation round.  The prover
-        asks for a candidate model after every chunk and only keeps saturating
-        while the candidate fails its verification, which is usually long
-        before the clause set is fully saturated.  The default was retuned
-        from 100 to 800 alongside the integer kernel: with incremental model
-        maintenance the per-round model cost is small but not free, and on
-        the Table 1 rows the larger chunk is faster for every engine
-        configuration (see PERFORMANCE.md).
-    verify_model:
-        Verify that the candidate equality model satisfies every known pure
-        clause and that every rewrite edge's generating clause has its
-        leftover literals refuted (the properties the completeness argument
-        needs).  Disabling this forces full saturation before every model
-        generation, which is slower; it exists for the ablation benchmarks.
     verify_counterexamples:
         Check returned counterexamples against the exact semantics before
         reporting them (cheap; guarantees an "invalid" verdict is never
@@ -44,57 +35,13 @@ class ProverConfig:
     record_proof:
         Record every inference so that a full SI proof tree can be
         reconstructed for valid entailments.  Disable for benchmarking.
-    use_clause_index:
-        Let the saturation engine answer subsumption and inference-partner
-        queries from a clause index instead of scanning the active list.  The
-        indexed and unindexed engines derive identical clauses in an identical
-        order; the flag exists for the equivalence tests and ablations.
-        Index maintenance is adaptive — buckets are only built once the
-        active set is large enough for lookups to beat linear scans (see
-        ``repro.superposition.saturation.ADAPTIVE_INDEX_THRESHOLD``).
     use_int_kernel:
-        Run saturation on the dense integer clause kernel
-        (``repro.superposition.kernel``): per-problem interning of constants
-        to small ids in term order, literals packed as ints, ordering checks
-        compiled to integer compares.  Derives byte-identical clauses in an
-        identical order to the symbolic engine; the flag exists for the
-        equivalence tests and the ablation benchmarks.
-    use_unit_rewrite:
-        Absorb unit positive equalities into a union-find over dense
-        constant ids and demodulate every clause against them before
-        inference.  A genuine simplification: it changes the derivation
-        sequence and the ``generated_clauses`` counter, so it is **off by
-        default** and pinned for *verdict* equivalence only (differential
-        fuzzing with the enumeration oracle, ``slp fuzz --unit-rewrite``).
-        Requires ``use_int_kernel``.
-    use_dense_models:
-        Maintain candidate models entirely on the dense side: the model
-        generator consumes the kernel's raw ``IntClause`` feed and keeps the
-        ordered list, construction trail, rewrite relation and verification
-        caches over integer ids, materialising a symbolic ``EqualityModel``
-        only at the boundary.  Produces byte-identical edges and generators
-        to the symbolic generator; needs the kernel and incremental models
-        (silently inert otherwise).  The flag exists for the
-        ``dense_model`` ablation benchmark.
-    use_bitset_subsumption:
-        Answer subsumption from exact per-clause literal bitsets (Python
-        big-int masks over a per-engine atom-slot table; large index buckets
-        use a numpy bulk scan when numpy is available).  Containment answers
-        are exact, so derivations stay byte-identical to the default path.
-        Requires ``use_int_kernel``.  Off by default pending broader
-        benchmarking — the ``bitset`` ablation row measures it.
-    index_threshold:
-        Override the adaptive index activation point — the active-set size
-        at which the engine starts maintaining index buckets (``None`` uses
-        ``repro.superposition.saturation.ADAPTIVE_INDEX_THRESHOLD``; ``0``
-        builds the index from the first clause, the pre-adaptive
-        behaviour).  Threaded through the CLI/fuzzer so the threshold can
-        be ablated without code changes.
-    incremental_models:
-        Reuse the sorted clause list, the construction trail and the
-        verification results of the previous candidate model instead of
-        regenerating ``Gen(S*)`` from scratch on every inner-loop round.
-        Produces the same models as the from-scratch path.
+        The engine selector.  ``True`` (the default) runs the production
+        engine: saturation on the dense integer clause kernel
+        (``repro.superposition.kernel``) with its adaptive clause index, and
+        candidate models maintained by the dense incremental model
+        generator.  ``False`` is the reference oracle that
+        :meth:`reference` selects.
     max_seconds:
         Per-``prove()`` wall-clock budget.  When exceeded the prover raises
         :class:`~repro.core.prover.ProverTimeout` instead of answering; the
@@ -106,25 +53,17 @@ class ProverConfig:
         ``resource.setrlimit(RLIMIT_AS)`` in the worker initialiser.  A task
         that exceeds it raises ``MemoryError``, which the supervised pool
         converts into a structured ``oom`` failure instead of letting the
-        kernel's OOM killer take the worker (and, under the legacy pool, the
-        whole chunk) down.  ``None`` (the default) sets no limit.  Ignored
-        by in-process proving: the limit would apply to the coordinator —
-        caches, queued results and all — not to one task.
+        kernel's OOM killer take the worker down.  ``None`` (the default)
+        sets no limit.  Ignored by in-process proving: the limit would apply
+        to the coordinator — caches, queued results and all — not to one
+        task.
     """
 
     max_saturation_clauses: int = 500000
     max_iterations: int = 100000
-    saturation_chunk: int = 800
-    verify_model: bool = True
     verify_counterexamples: bool = True
     record_proof: bool = True
-    use_clause_index: bool = True
-    incremental_models: bool = True
     use_int_kernel: bool = True
-    use_unit_rewrite: bool = False
-    use_dense_models: bool = True
-    use_bitset_subsumption: bool = False
-    index_threshold: "int | None" = None
     max_seconds: "float | None" = None
     max_memory_mb: "int | None" = None
 
@@ -136,49 +75,17 @@ class ProverConfig:
         """A copy with the worker address-space budget replaced."""
         return replace(self, max_memory_mb=max_memory_mb)
 
-    def with_unit_rewrite(self, enabled: bool = True) -> "ProverConfig":
-        """A copy with unit-rewrite simplification toggled (kernel implied)."""
-        if enabled:
-            return replace(self, use_int_kernel=True, use_unit_rewrite=True)
-        return replace(self, use_unit_rewrite=False)
-
-    def with_bitset(self, enabled: bool = True) -> "ProverConfig":
-        """A copy with bitset subsumption toggled (kernel implied)."""
-        if enabled:
-            return replace(self, use_int_kernel=True, use_bitset_subsumption=True)
-        return replace(self, use_bitset_subsumption=False)
-
-    def with_index_threshold(self, threshold: "int | None") -> "ProverConfig":
-        """A copy with the adaptive index activation point replaced."""
-        return replace(self, index_threshold=threshold)
-
     def for_benchmarking(self) -> "ProverConfig":
-        """A copy of the configuration with all optional bookkeeping disabled.
-
-        The model verification stays enabled: it is not optional bookkeeping
-        but the mechanism that lets the prover work with partially saturated
-        clause sets (see ``ProverConfig.verify_model``).
-        """
-        return replace(
-            self,
-            verify_model=True,
-            verify_counterexamples=False,
-            record_proof=False,
-        )
+        """A copy of the configuration with all optional bookkeeping disabled."""
+        return replace(self, verify_counterexamples=False, record_proof=False)
 
     def reference(self) -> "ProverConfig":
-        """A copy running the unindexed, non-incremental (seed-behaviour) paths.
+        """A copy running the reference oracle instead of the production engine.
 
-        Used as the correctness oracle by the equivalence tests and as the
-        "before" configuration of the performance benchmarks.
+        The symbolic, unindexed given-clause loop plus ``generate_model`` from
+        scratch every round.  Used as the correctness oracle by the
+        equivalence tests, the differential fuzzer and
+        ``perfbench/make_expected.py``, and as the "before" configuration of
+        ``scripts/bench_perf.py``.
         """
-        return replace(
-            self,
-            use_clause_index=False,
-            incremental_models=False,
-            use_int_kernel=False,
-            use_unit_rewrite=False,
-            use_dense_models=False,
-            use_bitset_subsumption=False,
-            index_threshold=None,
-        )
+        return replace(self, use_int_kernel=False)

@@ -20,6 +20,15 @@ from repro.logic.printer import format_clause
 INPUT_RULE = "cnf"
 
 
+class ProofGapError(RuntimeError):
+    """Raised when a refutation cannot be rebuilt from the recorded trace.
+
+    A clause on the way to the root has no recorded derivation, or its
+    recorded derivation depends on itself.  Either means the prover failed to
+    record a step, so the proof would not be a proof.
+    """
+
+
 @dataclass(frozen=True)
 class ProofStep:
     """One line of a linearised proof."""
@@ -84,19 +93,28 @@ class ProofTrace:
 
     # -- reconstruction -------------------------------------------------------
     def build_refutation(self, root: Clause = EMPTY_CLAUSE) -> "Proof":
-        """Reconstruct the sub-derivation ending in ``root`` (usually the empty clause)."""
+        """Reconstruct the sub-derivation ending in ``root`` (usually the empty clause).
+
+        Raises :class:`ProofGapError` when a clause needed on the way has no
+        recorded derivation or lies on a cycle of them.
+        """
         numbering: Dict[Clause, int] = {}
         steps: List[ProofStep] = []
 
         def visit(clause: Clause, path: Tuple[Clause, ...]) -> int:
             if clause in numbering:
                 return numbering[clause]
+            if clause in path:
+                raise ProofGapError(
+                    "the recorded derivation of {} depends on itself".format(
+                        format_clause(clause)
+                    )
+                )
             record = self._by_clause.get(clause)
-            if record is None or clause in path:
-                index = len(steps) + 1
-                numbering[clause] = index
-                steps.append(ProofStep(index, clause, INPUT_RULE))
-                return index
+            if record is None:
+                raise ProofGapError(
+                    "no recorded derivation of {}".format(format_clause(clause))
+                )
             premise_indices = tuple(
                 visit(premise, path + (clause,)) for premise in record.premises
             )

@@ -42,6 +42,15 @@ from repro.superposition.model import (
 )
 from repro.superposition.saturation import DeadlineExceeded, SaturationEngine
 
+#: Number of given clauses processed per saturation round.  The prover asks
+#: for a candidate model after every chunk and only keeps saturating while
+#: the candidate fails its verification, which is usually long before the
+#: clause set is fully saturated.  Retuned from 100 to 800 alongside the
+#: integer kernel: with incremental model maintenance the per-round model
+#: cost is small but not free, and on the Table 1 rows the larger chunk is
+#: faster for both engines (see PERFORMANCE.md).
+SATURATION_CHUNK = 800
+
 
 class ProverInternalError(RuntimeError):
     """Raised when an invariant of the algorithm is violated (indicates a bug)."""
@@ -103,20 +112,10 @@ class Prover:
         engine = SaturationEngine(
             order,
             max_clauses=self.config.max_saturation_clauses,
-            use_index=self.config.use_clause_index,
             use_kernel=self.config.use_int_kernel,
-            use_unit_rewrite=self.config.use_unit_rewrite,
-            index_threshold=self.config.index_threshold,
-            use_bitset=self.config.use_bitset_subsumption,
         )
         model_generator = (
-            IncrementalModelGenerator(
-                order,
-                verify=self.config.verify_model,
-                dense=self.config.use_dense_models,
-            )
-            if self.config.incremental_models
-            else None
+            IncrementalModelGenerator(order) if self.config.use_int_kernel else None
         )
         trace = ProofTrace() if self.config.record_proof else None
         # Arm the cooperative in-loop deadline: the engine checks the clock
@@ -297,19 +296,17 @@ class Prover:
     ) -> Optional[EqualityModel]:
         """Saturate (lazily) until a verified equality model exists, or refute.
 
-        Returns ``None`` when the empty clause is derived.  With model
-        verification enabled (the default) the engine saturates in chunks and
-        stops as soon as the candidate model satisfies every known pure clause
-        and has well-behaved generating clauses; otherwise it saturates fully
-        before generating the model, which is the textbook behaviour.
+        Returns ``None`` when the empty clause is derived.  The engine
+        saturates in chunks and stops as soon as the candidate model satisfies
+        every known pure clause and has well-behaved generating clauses.  The
+        production engine maintains the model incrementally; the reference
+        engine rebuilds it from scratch with :func:`generate_model`.
         """
-        lazy = self.config.verify_model
         while True:
             if deadline is not None and time.perf_counter() > deadline:
                 self._timeout(entailment, statistics, engine, start)
-            chunk = self.config.saturation_chunk if lazy else None
             try:
-                saturation = engine.saturate(max_given=chunk)
+                saturation = engine.saturate(max_given=SATURATION_CHUNK)
             except DeadlineExceeded:
                 self._timeout(entailment, statistics, engine, start)
             statistics.saturation_rounds += 1
@@ -319,9 +316,7 @@ class Prover:
             try:
                 if model_generator is not None:
                     return model_generator.model_for_engine(engine)
-                return generate_model(
-                    engine.known_pure_clauses(), order, verify=self.config.verify_model
-                )
+                return generate_model(engine.known_pure_clauses(), order)
             except ModelGenerationError:
                 if saturation.complete:
                     # The set is fully saturated and the candidate still fails:

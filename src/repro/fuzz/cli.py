@@ -46,20 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also cross-check against the smallfoot/jstar baseline provers",
     )
     parser.add_argument(
-        "--unit-rewrite", action="store_true",
-        help="run the primary prover with unit-rewrite simplification enabled "
-        "(ProverConfig.use_unit_rewrite): the campaign then pins the "
-        "demodulating engine's verdicts against the reference and the "
-        "enumeration oracle",
-    )
-    parser.add_argument(
-        "--bitset", action="store_true",
-        help="run the primary prover with bitset subsumption enabled "
-        "(ProverConfig.use_bitset_subsumption): a differential campaign "
-        "over the exact-bitset containment path; composes with "
-        "--unit-rewrite",
-    )
-    parser.add_argument(
         "--max-enum-vars", type=int, default=3, metavar="K",
         help="enumeration-oracle variable bound (default 3; the oracle is exponential)",
     )
@@ -203,16 +189,6 @@ def fuzz_main(argv: Optional[Iterable[str]] = None) -> int:
     except ValueError as error:
         parser.error(str(error))
 
-    config = None
-    if arguments.unit_rewrite or arguments.bitset:
-        from repro.core.config import ProverConfig
-
-        config = ProverConfig(record_proof=False)
-        if arguments.unit_rewrite:
-            config = config.with_unit_rewrite()
-        if arguments.bitset:
-            config = config.with_bitset()
-
     try:
         report = run_campaign(
             seed=arguments.seed,
@@ -225,7 +201,6 @@ def fuzz_main(argv: Optional[Iterable[str]] = None) -> int:
             timeout=arguments.timeout,
             shrink_findings=not arguments.no_shrink,
             corpus_dir=arguments.corpus,
-            config=config,
             fault_plan=fault_plan,
             retries=arguments.retries,
             run_dir=arguments.run_dir,

@@ -33,9 +33,11 @@ Representation
 Equivalence
 -----------
 
-The kernel path derives **byte-identical clauses in identical order** to the
-symbolic engine (``use_kernel=False``), which is itself pinned against the
-seed algorithm via ``ProverConfig.reference()``.  Three facts carry the pin:
+The kernel derives **byte-identical clauses in identical order**, with
+identical derivation records, to the reference engine
+(``ProverConfig.reference()``, the symbolic loop of
+:class:`~repro.superposition.saturation.SaturationEngine` with
+``use_kernel=False``).  Three facts carry the pin:
 
 1. id order realises the term order, so all ordering-gated side conditions
    (orientation, strict maximality, production) agree literal-for-literal;
@@ -48,31 +50,6 @@ seed algorithm via ``ProverConfig.reference()``.  Three facts carry the pin:
 
 ``tests/test_kernel.py`` pins all of this over the equivalence corpus, plus
 a hypothesis round-trip property for the encoding itself.
-
-The **unit-rewrite** layer (``use_unit_rewrite``) sits on top: a union-find
-over dense constant ids absorbs every activated unit positive equality,
-forward-simplifies (demodulates) clauses before they are processed, and
-**backward-demodulates** the active set whenever a union actually merges two
-classes — only actives whose constant bitmask intersects the ids the merge
-touched are rewritten, and a clause whose union-find generation stamp is
-unchanged since its enqueue-time demodulation skips the second pass at pop.
-The absorbed unit equalities themselves are never demodulated away: they
-carry the equality into the clause set the model generator reads.  This
-*changes the derivation sequence* — it is a genuine simplification, not a
-representation change — so it is gated separately and pinned only for
-verdict equivalence (differential fuzzer + enumeration oracle), never for
-derivation equivalence.
-
-The **bitset subsumption** path (``use_bitset``) re-expresses the literal
-subset checks of subsumption as big-int bitmask tests: every distinct atom
-code is assigned a slot in a per-engine table on first use, each clause's
-``gamma``/``delta`` become one Python int with one bit per literal, and
-``candidate ⊆ clause`` compiles to ``cand & q == cand``.  The slot map is
-injective, so the tests are *exact* — same answers, byte-identical
-derivations, pinned by the ``{kernel} x {index} x {bitset}`` matrix tests.
-Bucket scans additionally take a numpy bulk path (one vectorised
-``rows & ~q == 0`` over a cached per-bucket matrix) once a bucket is large
-enough to amortise the packing.
 """
 
 from __future__ import annotations
@@ -89,11 +66,6 @@ from repro.logic.clauses import Clause
 from repro.logic.intern import intern_atom
 from repro.logic.ordering import TermOrder
 from repro.logic.terms import Const
-
-try:  # pragma: no cover - import guard; the container ships numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "SHIFT",
@@ -117,13 +89,13 @@ _FWD_DELTA = 1 << (2 * SHIFT)
 #: buckets well spread for the arithmetic progressions atom codes form).
 _FEATURE_BITS = 61
 
-#: Bucket size at which the bitset path switches a subsumption scan to the
-#: numpy bulk kernel.  Packing the query row and dispatching the ufunc chain
-#: costs ~10µs per query while a memoised big-int subset compare costs well
-#: under 100ns per candidate, so vectorisation only amortises on genuinely
-#: large buckets (threshold swept on the Table 1 n=20 row, see
-#: PERFORMANCE.md).
-_BULK_THRESHOLD = 256
+#: Active-clause count below which maintaining index buckets costs more than
+#: the linear scans they replace.  The engine starts with plain scans and
+#: bulk-activates the index the first time the active set reaches this size;
+#: on the Table 1 n=12 row the crossover is what turns the index from a small
+#: loss into a win (see PERFORMANCE.md, "Adaptive index activation").  Read
+#: at engine construction, so a test can move it without a config field.
+ADAPTIVE_INDEX_THRESHOLD = 24
 
 
 class IntClause:
@@ -154,14 +126,10 @@ class IntClause:
         "sort_key",
         "fwd_key",
         "cmask",
-        "gbits",
-        "dbits",
         "ordinal",
         "seen",
         "in_active",
         "in_passive",
-        "uf_gen",
-        "absorbed_unit",
         "decoded",
     )
 
@@ -207,10 +175,8 @@ def _cmask_of(clause: IntClause) -> int:
     """The clause's constant bitmask — bit ``i`` set iff id ``i`` occurs.
 
     Lazy and memoised like the other derived fields (reset on an encoder
-    rebuild, where ids change meaning).  The unit-rewrite layer intersects it
-    with the union-find's touched-id mask to skip demodulating clauses that
-    cannot possibly be rewritten, and the dense model generator uses it to
-    key its per-constant verification neighbourhoods.
+    rebuild, where ids change meaning).  The model generator uses it to key
+    its per-constant verification neighbourhoods.
     """
     mask = clause.cmask
     if mask is None:
@@ -231,16 +197,15 @@ class DenseEncoder:
     order:
         The problem's term ordering; its ranked constants seed the id space.
     on_rebuild:
-        Called with the old-id -> new-id mapping whenever a late-registered
-        constant forces a renumbering (see :meth:`register_constants`).  The
-        owning engine uses it to refresh id-keyed state (index buckets, the
-        unit-rewrite union-find).
+        Called whenever a late-registered constant forces a renumbering (see
+        :meth:`register_constants`).  The owning engine uses it to refresh
+        id-keyed state (index buckets).
     """
 
     def __init__(
         self,
         order: TermOrder,
-        on_rebuild: Optional[Callable[[List[int]], None]] = None,
+        on_rebuild: Optional[Callable[[], None]] = None,
     ):
         self._order = order
         self._on_rebuild = on_rebuild
@@ -357,7 +322,7 @@ class DenseEncoder:
             self._clauses[(gamma, delta)] = clause
         self.rebuilds += 1
         if self._on_rebuild is not None:
-            self._on_rebuild(remap)
+            self._on_rebuild()
 
     # -- atoms ---------------------------------------------------------------
     def atom_code(self, atom: EqAtom) -> int:
@@ -410,8 +375,6 @@ class DenseEncoder:
             clause.seen = False
             clause.in_active = False
             clause.in_passive = False
-            clause.uf_gen = -1
-            clause.absorbed_unit = False
             clause.decoded = None
             self._clauses[key] = clause
         return clause
@@ -482,12 +445,9 @@ class DenseEncoder:
         clause.gamma_pres = None
         clause.delta_pres = None
         clause.sort_key = None
-        # Id-derived masks and slot bitsets change meaning on a rebuild, so
-        # they are reset here (lazy like the rest; see ``_cmask_of`` and the
-        # engine's ``_bits_of``).
+        # The id-derived mask changes meaning on a rebuild, so it is reset
+        # here (lazy like the rest; see ``_cmask_of``).
         clause.cmask = None
-        clause.gbits = None
-        clause.dbits = None
 
     def gamma_pres_of(self, clause: IntClause) -> Tuple[int, ...]:
         """``gamma`` in canonical presentation order (lazy, memoised)."""
@@ -595,26 +555,47 @@ class DenseEncoder:
 
 
 class IntClauseIndex:
-    """The dense mirror of :class:`~repro.superposition.index.ClauseIndex`.
+    """Occurrence maps over the active set, answering the loop's three queries.
 
-    Same occurrence-map design (see that module's docstring for the query
-    reasoning), but buckets are keyed by atom codes / constant ids and by the
-    clause's intern ordinal, and the production facts come precomputed off
-    the :class:`IntClause` instead of through the ordering's memo table.
+    The given-clause loop asks three questions of the active set for every
+    given clause, and the unindexed answers are all linear scans:
 
-    With ``bits_of``/``slot_count`` wired in (the engine's bitset mode), the
-    subsumption queries test slot bitsets — ``cand & q == cand`` — instead of
-    frozenset containment; large buckets additionally keep a cached numpy
-    matrix of candidate rows so one vectorised compare answers the whole
-    bucket.  The bitset answers are exact (the slot map is injective), so the
-    two modes return identical results.
+    * **forward subsumption** — is the given clause subsumed by an active one?
+    * **backward subsumption** — which active clauses does the given one
+      subsume?
+    * **inference-partner selection** — which active clauses can take part in
+      a superposition inference with the given clause at all?
+
+    The fragment is ground, so subsumption is literal-set inclusion, which
+    admits a literal-occurrence index.  A clause ``C`` that subsumes ``D`` has
+    all of its literals inside ``D``.  So forward candidates are found through
+    ``D``'s literals, and backward candidates all lie in the bucket of any
+    single literal of ``C`` (the smallest bucket is scanned).
+
+    Partner selection uses the shape of the inference rules.  An inference
+    between a rewriting premise (strictly maximal equation ``big = small``, no
+    selected literals) and a partner exists only when ``big`` occurs at a
+    rewritable position of the partner: in a selected (negative) literal, or
+    in the partner's own strictly maximal equation.  Three occurrence maps
+    capture exactly these positions:
+
+    * ``_gamma_occ`` — constant id -> actives with a ``gamma`` atom
+      mentioning it;
+    * ``_maxeq_occ`` — constant id -> productive actives whose maximal
+      equation mentions it;
+    * ``_productive_by_big`` — constant id -> productive actives whose
+      oriented maximal equation has that constant as its larger side.
+
+    The candidates are a superset of the pairs the inference rules fire on
+    (the rules re-check every side condition) and come back in activation
+    order, so the engine derives exactly the inferences of a full scan, in
+    the same order, skipping only provably fruitless pairs.
+
+    Buckets are keyed by the clause's intern ordinal, and the production
+    facts come precomputed off the :class:`IntClause`.
     """
 
-    def __init__(
-        self,
-        bits_of: Optional[Callable[["IntClause"], Tuple[int, int]]] = None,
-        slot_count: Optional[Callable[[], int]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._tick = itertools.count()
         self._seq: Dict[int, int] = {}
         self._neg_occ: Dict[int, Dict[int, IntClause]] = {}
@@ -629,16 +610,6 @@ class IntClauseIndex:
         self._gamma_occ: Dict[int, Dict[int, IntClause]] = {}
         self._maxeq_occ: Dict[int, Dict[int, IntClause]] = {}
         self._productive_by_big: Dict[int, Dict[int, IntClause]] = {}
-        self._bits_of = bits_of
-        self._slot_count = slot_count
-        #: (side, code) -> (candidate-row matrix, candidate snapshot, word
-        #: count).  The snapshot is a *prefix* of the bucket in insertion
-        #: order: additions never invalidate it (queries scan the tail
-        #: scalarly and the matrix is rebuilt once the tail outgrows the
-        #: snapshot — geometric, so amortised O(1) row encodes per add);
-        #: removals drop the entry, since they can evict prefix members.
-        #: Bitset mode only.
-        self._bulk_cache: Dict[Tuple[int, int], Tuple[object, List[IntClause], int]] = {}
 
     def __len__(self) -> int:
         return len(self._seq)
@@ -669,22 +640,15 @@ class IntClauseIndex:
         key = clause.ordinal
         if self._seq.pop(key, None) is None:
             return
-        bulk = self._bulk_cache if self._bits_of is not None else None
         for code in clause.gamma:
             self._discard(self._neg_occ, code, key)
             self._discard(self._gamma_occ, code >> SHIFT, key)
             self._discard(self._gamma_occ, code & _MASK, key)
-            if bulk:
-                bulk.pop((0, code), None)
         for code in clause.delta:
             self._discard(self._pos_occ, code, key)
-            if bulk:
-                bulk.pop((1, code), None)
         fwd = clause.fwd_key
         if fwd >= 0:
             self._discard(self._fwd_occ, fwd, key)
-            if bulk:
-                bulk.pop((2, fwd), None)
         production = clause.production
         if production is not None:
             big, small, _ = production
@@ -712,36 +676,6 @@ class IntClauseIndex:
         # of mask tests (measured; the masks stay on the pre-index linear
         # path, where candidates are arbitrary).
         fwd_occ = self._fwd_occ
-        bits_of = self._bits_of
-        if bits_of is not None:
-            qg, qd = bits_of(clause)
-            for side_bit, codes in ((0, clause.gamma), (_FWD_DELTA, clause.delta)):
-                for code in codes:
-                    bucket = fwd_occ.get(side_bit | code)
-                    if not bucket:
-                        continue
-                    candidates = bucket.values()
-                    if _np is not None and len(bucket) >= _BULK_THRESHOLD:
-                        matrix, prefix, words = self._bulk_entry(
-                            2, side_bit | code, bucket
-                        )
-                        row = self._bulk_query_row(qg, qd, words)
-                        if bool(((matrix & ~row) == 0).all(axis=1).any()):
-                            return True
-                        # Additions since the snapshot sit past the prefix in
-                        # insertion order; scan just that tail scalarly.
-                        candidates = itertools.islice(candidates, len(prefix), None)
-                    for candidate in candidates:
-                        # Inline the memoised-bits fast path: one attribute
-                        # read per candidate instead of a function call.
-                        cg = candidate.gbits
-                        if cg is None:
-                            cg, cd = bits_of(candidate)
-                        else:
-                            cd = candidate.dbits
-                        if cg & qg == cg and cd & qd == cd:
-                            return True
-            return False
         gamma_set, delta_set = _sets_of(clause)
         for side_bit, codes in ((0, clause.gamma), (_FWD_DELTA, clause.delta)):
             for code in codes:
@@ -760,10 +694,9 @@ class IntClauseIndex:
 
     def subsumed_by(self, clause: IntClause) -> List[IntClause]:
         smallest: Optional[Dict[int, IntClause]] = None
-        smallest_key: Optional[Tuple[int, int]] = None
-        for side, codes, occ in (
-            (0, clause.gamma, self._neg_occ),
-            (1, clause.delta, self._pos_occ),
+        for codes, occ in (
+            (clause.gamma, self._neg_occ),
+            (clause.delta, self._pos_occ),
         ):
             for code in codes:
                 bucket = occ.get(code)
@@ -771,41 +704,10 @@ class IntClauseIndex:
                     return []
                 if smallest is None or len(bucket) < len(smallest):
                     smallest = bucket
-                    smallest_key = (side, code)
         if smallest is None:
             return []
-        bits_of = self._bits_of
-        if bits_of is not None:
-            qg, qd = bits_of(clause)
-            victims: List[IntClause] = []
-            candidates = smallest.values()
-            if _np is not None and len(smallest) >= _BULK_THRESHOLD:
-                matrix, prefix, words = self._bulk_entry(
-                    smallest_key[0], smallest_key[1], smallest
-                )
-                if (qg >> (words * 64)) or (qd >> (words * 64)):
-                    # The query uses a slot no snapshot candidate has, so no
-                    # prefix row can contain it; the tail still can.
-                    pass
-                else:
-                    row = self._bulk_query_row(qg, qd, words)
-                    hits = ((~matrix & row) == 0).all(axis=1)
-                    victims.extend(prefix[i] for i in _np.nonzero(hits)[0])
-                # Prefix victims come first and the tail is scanned in
-                # insertion order, so the combined list matches the scalar
-                # path's bucket order.
-                candidates = itertools.islice(candidates, len(prefix), None)
-            for candidate in candidates:
-                cg = candidate.gbits
-                if cg is None:
-                    cg, cd = bits_of(candidate)
-                else:
-                    cd = candidate.dbits
-                if qg & cg == qg and qd & cd == qd:
-                    victims.append(candidate)
-            return victims
         gamma_set, delta_set = _sets_of(clause)
-        victims = []
+        victims: List[IntClause] = []
         for candidate in smallest.values():
             cg = candidate.gamma_set
             if cg is None:
@@ -815,59 +717,6 @@ class IntClauseIndex:
             if gamma_set <= cg and delta_set <= cd:
                 victims.append(candidate)
         return victims
-
-    # -- numpy bulk bucket scans (bitset mode only) --------------------------
-    def _bulk_entry(
-        self, side: int, code: int, bucket: Dict[int, IntClause]
-    ) -> Tuple[object, List[IntClause], int]:
-        """The cached ``(matrix, prefix, words)`` row set of one bucket.
-
-        Rows are the snapshot candidates' ``gamma`` and ``delta`` bitsets
-        side by side as little-endian uint64 words, in bucket insertion
-        order.  The snapshot covers the bucket as of the build; later
-        additions are the bucket's tail (scanned scalarly by the callers)
-        and the matrix is rebuilt only once the tail outgrows the snapshot,
-        so each clause is row-encoded O(1) times amortised.  Removals drop
-        the entry via :meth:`remove` (they can evict snapshot members).
-        Slot-table growth after a build is harmless — snapshot candidates
-        have no bits in slots assigned later, and query rows are truncated
-        to the cached width (see the callers for the containment arguments).
-        """
-        key = (side, code)
-        entry = self._bulk_cache.get(key)
-        if entry is not None and len(bucket) < 2 * len(entry[1]):
-            return entry
-        bits_of = self._bits_of
-        candidates = list(bucket.values())
-        pairs = [bits_of(candidate) for candidate in candidates]
-        words = max(1, (self._slot_count() + 63) // 64)
-        span = words * 8
-        buffer = bytearray(2 * span * len(pairs))
-        offset = 0
-        for gbits, dbits in pairs:
-            buffer[offset : offset + span] = gbits.to_bytes(span, "little")
-            offset += span
-            buffer[offset : offset + span] = dbits.to_bytes(span, "little")
-            offset += span
-        matrix = _np.frombuffer(bytes(buffer), dtype=_np.uint64).reshape(
-            len(pairs), 2 * words
-        )
-        entry = (matrix, candidates, words)
-        self._bulk_cache[key] = entry
-        return entry
-
-    @staticmethod
-    def _bulk_query_row(qg: int, qd: int, words: int):
-        """The query's bitsets as one row of ``2 * words`` uint64 words.
-
-        Bits beyond the cached width are dropped: for the forward query they
-        belong to slots no cached candidate has (``cand & ~q`` is zero there
-        regardless), and the backward caller rejects such queries up front.
-        """
-        span = words * 8
-        gb = qg.to_bytes(max(span, (qg.bit_length() + 7) // 8), "little")[:span]
-        db = qd.to_bytes(max(span, (qd.bit_length() + 7) // 8), "little")[:span]
-        return _np.frombuffer(gb + db, dtype=_np.uint64)
 
     def inference_partners(self, given: IntClause) -> List[IntClause]:
         candidates: Dict[int, IntClause] = {}
@@ -940,33 +789,22 @@ class _DerivationView(_MappingBase):
 
 
 class IntSaturationCore:
-    """The given-clause loop over dense clauses.
+    """The given-clause loop over dense clauses: the production engine.
 
-    This is the kernel-side twin of
+    This is the kernel-side twin of the reference loop in
     :class:`~repro.superposition.saturation.SaturationEngine` — same public
     surface, same algorithm, dense representation.  The engine facade
-    delegates here when the kernel is enabled; all inputs and outputs are
-    symbolic :class:`Clause` objects, encoded/decoded at this boundary.
+    delegates here by default; all inputs and outputs are symbolic
+    :class:`Clause` objects, encoded/decoded at this boundary.
     """
 
-    def __init__(
-        self,
-        order: TermOrder,
-        max_clauses: int,
-        use_index: bool,
-        use_unit_rewrite: bool,
-        index_threshold: int,
-        use_bitset: bool = False,
-    ):
+    def __init__(self, order: TermOrder, max_clauses: int):
         self.order = order
         self.max_clauses = max_clauses
         self._encoder = DenseEncoder(order, on_rebuild=self._handle_rebuild)
-        self._use_bitset = use_bitset
-        #: atom code -> bit slot, assigned densely on first use (bitset mode).
-        self._slot: Dict[int, int] = {}
-        self._index: Optional[IntClauseIndex] = self._new_index() if use_index else None
+        self._index = IntClauseIndex()
         self._index_live = False
-        self._index_threshold = index_threshold
+        self._index_threshold = ADAPTIVE_INDEX_THRESHOLD
         self._active: List[IntClause] = []
         #: Min-heap of ``(packed key, clause)`` — the key is
         #: ``(weight << 40) | tick``, which orders exactly like the
@@ -976,7 +814,7 @@ class IntSaturationCore:
         self._passive: List[Tuple[int, IntClause]] = []
         self._tick = itertools.count()
         #: Net membership changes of the known set (active + queued passive)
-        #: since the last :meth:`drain_known_changes`: clause -> +1/-1.
+        #: since the last :meth:`drain_known_changes_raw`: clause -> +1/-1.
         self._known_delta: Dict[IntClause, int] = {}
         self._derivations: Dict[IntClause, Tuple[str, Tuple[IntClause, ...]]] = {}
         self._refuted = False
@@ -985,53 +823,7 @@ class IntSaturationCore:
         #: raises ``DeadlineExceeded`` (checked before every given clause).
         #: Armed by ``SaturationEngine.set_deadline``; ``None`` disables.
         self.deadline: Optional[float] = None
-        self._unit_rewrite = use_unit_rewrite
-        #: Union-find parents over dense constant ids; identity until the
-        #: first unit positive equality is absorbed (``_units_absorbed``).
-        self._uf: List[int] = []
-        self._units_absorbed = False
-        #: Bitmask of every id whose union-find representative differs from
-        #: itself — a clause disjoint from it cannot be demodulated.
-        self._touched_mask = 0
-        #: Bumped on every *effective* union.  Clauses are stamped with the
-        #: generation they were last demodulated under (``IntClause.uf_gen``),
-        #: so the pop-time pass skips clauses nothing has changed for.
-        self._uf_generation = 0
         self._change_feed_consumed = False
-
-    def _new_index(self) -> IntClauseIndex:
-        if self._use_bitset:
-            slot = self._slot
-            return IntClauseIndex(bits_of=self._bits_of, slot_count=lambda: len(slot))
-        return IntClauseIndex()
-
-    def _bits_of(self, clause: IntClause) -> Tuple[int, int]:
-        """The clause's ``(gamma, delta)`` slot bitsets (lazy, memoised).
-
-        One bit per *distinct atom code*, slots handed out densely on first
-        use.  The map is injective, so bitset containment is exactly literal
-        subset — unlike the hashed feature masks of :meth:`_masks_of`, these
-        are decision procedures, not prefilters.
-        """
-        gbits = clause.gbits
-        if gbits is None:
-            slot = self._slot
-            slot_get = slot.get
-            gbits = 0
-            for code in clause.gamma:
-                s = slot_get(code)
-                if s is None:
-                    s = slot[code] = len(slot)
-                gbits |= 1 << s
-            dbits = 0
-            for code in clause.delta:
-                s = slot_get(code)
-                if s is None:
-                    s = slot[code] = len(slot)
-                dbits |= 1 << s
-            clause.gbits = gbits
-            clause.dbits = dbits
-        return gbits, clause.dbits
 
     # -- public surface (mirrors SaturationEngine) --------------------------
     @property
@@ -1048,19 +840,23 @@ class IntSaturationCore:
 
     @property
     def encoder(self) -> DenseEncoder:
-        """The engine's per-problem encoder (the dense model generator's boundary)."""
+        """The engine's per-problem encoder (the model generator's boundary)."""
         return self._encoder
 
     def dense_core(self) -> "IntSaturationCore":
-        """This core — the dense model generator pairs with it directly."""
+        """This core — the model generator pairs with it directly."""
         return self
 
     def add_clauses(self, clauses: Iterable[Clause]) -> None:
         for clause in clauses:
             if not clause.is_pure:
                 raise ValueError("the saturation engine only accepts pure clauses")
-            encoded = self._simplify(self._encoder.encode_clause(clause))
-            self._enqueue(encoded, None, ())
+            encoded = self._encoder.encode_clause(clause)
+            simplified = self._simplify(encoded)
+            if simplified is encoded:
+                self._enqueue(encoded, None, ())
+            else:
+                self._enqueue(simplified, "equality-resolution", (encoded,))
 
     def saturate(self, max_given: Optional[int] = None):
         from repro.superposition.saturation import DeadlineExceeded, SaturationResult
@@ -1081,10 +877,6 @@ class IntSaturationCore:
             if given is None:
                 break
             processed += 1
-            if self._units_absorbed:
-                given = self._demodulate_given(given)
-                if given is None:
-                    continue
             if given.is_empty:
                 self._register_active(given)
                 self._refuted = True
@@ -1104,7 +896,7 @@ class IntSaturationCore:
             infer_within(given)
             if self._refuted:
                 continue
-            if self._index is not None and self._index_live:
+            if self._index_live:
                 partners: Iterable[IntClause] = self._index.inference_partners(given)
             else:
                 partners = [other for other in self._active if other is not given]
@@ -1139,39 +931,18 @@ class IntSaturationCore:
         ]
         return tuple(active) + tuple(passive)
 
-    def drain_known_changes(self) -> Tuple[List[Tuple[Clause, Tuple[int, ...]]], List[Tuple[Clause, Tuple[int, ...]]]]:
+    def drain_known_changes_raw(self) -> Tuple[List[IntClause], List[IntClause]]:
         """The net ``(added, removed)`` known-set changes since the last drain.
 
-        Entries are ``(clause, dense_sort_key)`` pairs — the key orders
-        clauses exactly like ``TermOrder.clause_sort_key`` (see
-        :meth:`DenseEncoder.sort_key_of`), so the consumer can maintain its
-        ordered structures without ever computing symbolic keys.  The first
-        drain reports the entire current known set as additions.  Destructive
-        — the change log is cleared — so the feed supports one consumer: the
-        incremental model generator the prover pairs with this engine (see
-        ``IncrementalModelGenerator.model_for_engine``).
-        """
-        self._change_feed_consumed = True
-        decode = self._encoder.decode
-        sort_key_of = self._encoder.sort_key_of
-        added: List[Tuple[Clause, Tuple[int, ...]]] = []
-        removed: List[Tuple[Clause, Tuple[int, ...]]] = []
-        for clause, net in self._known_delta.items():
-            if net > 0:
-                added.append((decode(clause), sort_key_of(clause)))
-            elif net < 0:
-                removed.append((decode(clause), sort_key_of(clause)))
-        self._known_delta.clear()
-        return added, removed
-
-    def drain_known_changes_raw(self) -> Tuple[List[IntClause], List[IntClause]]:
-        """The net known-set changes as bare :class:`IntClause` records.
-
-        The dense model generator's feed: no decoding, no key
-        materialisation — the consumer orders clauses by
+        The model generator's feed, as bare :class:`IntClause` records: no
+        decoding, no key materialisation — the consumer orders clauses by
         :meth:`DenseEncoder.sort_key_of` on demand and symbolic objects are
-        built only at the model boundary.  Same destructive single-consumer
-        contract (and the same rebuild guard) as :meth:`drain_known_changes`.
+        built only at the model boundary.  The first drain reports the entire
+        current known set as additions.  Destructive — the change log is
+        cleared — so the feed supports one consumer: the
+        ``IncrementalModelGenerator`` the prover pairs with this engine.
+        Once it has been drained, a renumbering of the dense ids is refused
+        (see :meth:`_handle_rebuild`).
         """
         self._change_feed_consumed = True
         added: List[IntClause] = []
@@ -1190,8 +961,6 @@ class IntSaturationCore:
 
     def is_known(self, clause: Clause) -> bool:
         encoded = self._simplify(self._encoder.encode_clause(clause))
-        if self._units_absorbed:
-            encoded = self._demodulate(encoded)
         if encoded.is_tautology:
             return True
         if encoded.seen:
@@ -1248,12 +1017,10 @@ class IntSaturationCore:
         # the intern table directly skips a call frame on that hot half, and
         # a conclusion that was both interned and enqueued before is a
         # complete no-op in ``_enqueue`` (the ``seen`` early-return precedes
-        # the generated counter) unless absorbed units mean it must still be
-        # demodulated and generation-stamped — so without them, skip the
-        # call and the premise-tuple allocation outright.
+        # the generated counter) — so skip the call and the premise-tuple
+        # allocation outright.
         interned_get = self._encoder._clauses.get
         enqueue = self._enqueue
-        skip_seen = not self._units_absorbed
         if right.gamma:
             delta: Optional[Tuple[int, ...]] = None
             for target in self._encoder.gamma_pres_of(right):
@@ -1297,7 +1064,7 @@ class IntSaturationCore:
                 conclusion = interned_get((gamma_codes, delta))
                 if conclusion is None:
                     conclusion = intern(gamma_codes, delta)
-                elif skip_seen and conclusion.seen:
+                elif conclusion.seen:
                     continue
                 enqueue(conclusion, "superposition-left", (left, right))
                 if self._refuted:
@@ -1335,12 +1102,6 @@ class IntSaturationCore:
         rule: Optional[str],
         premises: Tuple[IntClause, ...],
     ) -> None:
-        if self._units_absorbed:
-            clause = self._demodulate(clause)
-            # The stamp only matters to the demodulation-skip logic, so
-            # clauses enqueued before any unit was absorbed keep their
-            # intern-time ``-1`` (a stale stamp just re-demodulates).
-            clause.uf_gen = self._uf_generation
         if clause.seen:
             return
         clause.seen = True
@@ -1373,7 +1134,7 @@ class IntSaturationCore:
 
     def _mark_known(self, clause: IntClause, delta: int) -> None:
         # Tautologies never reach the model generator (it would discard them
-        # on arrival), so they are not worth decoding into the change feed;
+        # on arrival), so they are kept out of the change feed;
         # known_pure_clauses still reports them for the one-shot path, whose
         # validation loop does its own filtering.
         if clause.is_tautology:
@@ -1406,62 +1167,17 @@ class IntSaturationCore:
         clause.in_active = True
         self._mark_known(clause, 1)
         self._active.append(clause)
-        if self._index is not None and not clause.is_empty:
+        if not clause.is_empty:
             if self._index_live:
                 self._index.add(clause)
             elif len(self._active) >= self._index_threshold:
+                # Adaptive activation: the first time the active set is
+                # large enough for bucket lookups to beat linear scans,
+                # index everything accumulated so far and stay indexed.
                 for active in self._active:
                     if not active.is_empty:
                         self._index.add(active)
                 self._index_live = True
-        if self._unit_rewrite:
-            production = clause.production
-            if production is not None and len(clause.delta) == 1:
-                # The absorbed unit must never be demodulated away itself:
-                # rewriting ``b = c`` under ``b ~ c`` trivialises it, and
-                # dropping it would remove the equality from the clause set
-                # the model generator reads (the union-find is engine state,
-                # not part of the set).  Mark it exempt before the union so
-                # the backward pass below skips it.
-                clause.absorbed_unit = True
-                changed = self._union(production[0], production[1])
-                if changed:
-                    self._backward_demodulate(changed)
-
-    def _backward_demodulate(self, changed: int) -> None:
-        """Demodulate actives invalidated by a newly absorbed unit equality.
-
-        ``changed`` is the bitmask of ids whose representative the union just
-        moved; only actives whose constant bitmask intersects it can rewrite.
-        A rewritten victim leaves the active set (its demodulated form
-        subsumes it given the unit) and the demodulated clause is re-enqueued
-        as a ``unit-rewrite`` derivation — the ``seen`` dedup in
-        :meth:`_enqueue` drops forms the engine already knows.  Sound because
-        the absorbed units stay active: ``C[b]`` follows from ``C[c]`` and
-        ``b = c``.
-        """
-        victims: List[Tuple[IntClause, IntClause]] = []
-        for active in self._active:
-            if active.absorbed_unit or active.is_empty:
-                continue
-            if _cmask_of(active) & changed == 0:
-                continue
-            rewritten = self._demodulate(active)
-            if rewritten is not active:
-                victims.append((active, rewritten))
-        if not victims:
-            return
-        index_live = self._index is not None and self._index_live
-        for active, _ in victims:
-            active.in_active = False
-            self._mark_known(active, -1)
-            if index_live:
-                self._index.remove(active)
-        self._active = [active for active in self._active if active.in_active]
-        for active, rewritten in victims:
-            self._enqueue(rewritten, "unit-rewrite", (active,))
-            if self._refuted:
-                return
 
     @staticmethod
     def _masks_of(clause: IntClause) -> Tuple[int, int]:
@@ -1485,16 +1201,8 @@ class IntSaturationCore:
         return gmask, clause.dmask
 
     def _is_subsumed_by_active(self, clause: IntClause) -> bool:
-        if self._index is not None and self._index_live:
+        if self._index_live:
             return self._index.is_subsumed(clause)
-        if self._use_bitset:
-            bits_of = self._bits_of
-            qg, qd = bits_of(clause)
-            for active in self._active:
-                ag, ad = bits_of(active)
-                if ag & qg == ag and ad & qd == ad:
-                    return True
-            return False
         gamma_set, delta_set = _sets_of(clause)
         gmask, dmask = self._masks_of(clause)
         masks_of = self._masks_of
@@ -1507,7 +1215,7 @@ class IntSaturationCore:
         return False
 
     def _remove_subsumed_active(self, clause: IntClause) -> None:
-        if self._index is not None and self._index_live:
+        if self._index_live:
             victims = self._index.subsumed_by(clause)
             if victims:
                 for victim in victims:
@@ -1516,21 +1224,12 @@ class IntSaturationCore:
                     self._mark_known(victim, -1)
                 self._active = [active for active in self._active if active.in_active]
             return
-        if self._use_bitset:
-            bits_of = self._bits_of
-            qg, qd = bits_of(clause)
-            victims = []
-            for active in self._active:
-                ag, ad = bits_of(active)
-                if qg & ag == qg and qd & ad == qd:
-                    victims.append(active)
-        else:
-            gamma_set, delta_set = _sets_of(clause)
-            victims = []
-            for active in self._active:
-                ags, ads = _sets_of(active)
-                if gamma_set <= ags and delta_set <= ads:
-                    victims.append(active)
+        gamma_set, delta_set = _sets_of(clause)
+        victims = []
+        for active in self._active:
+            ags, ads = _sets_of(active)
+            if gamma_set <= ags and delta_set <= ads:
+                victims.append(active)
         if victims:
             for victim in victims:
                 victim.in_active = False
@@ -1548,7 +1247,7 @@ class IntSaturationCore:
             premises=tuple(decode(premise) for premise in premises),
         )
 
-    def _handle_rebuild(self, remap: List[int]) -> None:
+    def _handle_rebuild(self) -> None:
         """Refresh id-keyed engine state after the encoder renumbered ids."""
         if self._change_feed_consumed:
             # Dense sort keys already handed to a change-feed consumer would
@@ -1560,137 +1259,8 @@ class IntSaturationCore:
                 "dense ids were renumbered after the known-change feed was "
                 "consumed; register all constants before the first drain"
             )
-        # Atom codes changed meaning: the slot table (and with it every
-        # clause's cached bitsets, already reset by the encoder's re-fill)
-        # starts over, handed out lazily against the new codes.
-        self._slot.clear()
-        if self._index is not None and self._index_live:
-            self._index = self._new_index()
+        if self._index_live:
+            self._index = IntClauseIndex()
             for active in self._active:
                 if not active.is_empty:
                     self._index.add(active)
-        if self._uf:
-            old = self._uf
-            new = list(range(len(self._encoder)))
-            for previous_id, parent in enumerate(old):
-                root = parent
-                while old[root] != root:
-                    root = old[root]
-                if root != previous_id:
-                    new[remap[previous_id]] = remap[root]
-            # remap preserves the relative order of pre-rebuild ids (the
-            # rebuild sort is stable over an already-ascending list), so a
-            # class's minimal-id root stays minimal after renumbering.
-            self._uf = new
-            self._touched_mask = 0
-            for identifier, parent in enumerate(new):
-                if parent != identifier:
-                    self._touched_mask |= 1 << identifier
-
-    # -- unit rewriting ------------------------------------------------------
-    def _find(self, identifier: int) -> int:
-        uf = self._uf
-        root = identifier
-        while uf[root] != root:
-            root = uf[root]
-        while uf[identifier] != root:
-            uf[identifier], identifier = root, uf[identifier]
-        return root
-
-    def _union(self, a: int, b: int) -> int:
-        """Absorb ``a = b``; returns the bitmask of ids whose normal form moved.
-
-        A no-op union (already equivalent) returns 0.  An effective union
-        repoints the larger root at the smaller — the smaller id is the
-        term-order-smaller constant, so demodulation always rewrites
-        downwards — which changes the representative of *every member of the
-        losing class*; that member set is the returned mask, accumulated into
-        ``_touched_mask`` and used to scope backward demodulation.
-        """
-        if not self._uf or len(self._uf) < len(self._encoder):
-            self._uf.extend(range(len(self._uf), len(self._encoder)))
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return 0
-        if ra > rb:
-            ra, rb = rb, ra
-        find = self._find
-        changed = 0
-        for identifier in range(len(self._uf)):
-            if find(identifier) == rb:
-                changed |= 1 << identifier
-        self._uf[rb] = ra
-        self._units_absorbed = True
-        self._touched_mask |= changed
-        self._uf_generation += 1
-        return changed
-
-    def _demodulate(self, clause: IntClause) -> IntClause:
-        """Rewrite every constant to its union-find representative.
-
-        Trivialised antecedent atoms are dropped on the way (equality
-        resolution), trivialised consequent atoms are kept so the tautology
-        check can discard the clause.  Returns the *same* object when nothing
-        changes, which keeps the non-rewriting fast path allocation-free.
-        """
-        if len(self._uf) < len(self._encoder):
-            self._uf.extend(range(len(self._uf), len(self._encoder)))
-        if _cmask_of(clause) & self._touched_mask == 0:
-            # No constant of the clause has a moved representative: the walk
-            # below would be an identity.
-            return clause
-        find = self._find
-        changed = False
-        gamma: List[int] = []
-        for code in clause.gamma:
-            big, small = find(code >> SHIFT), find(code & _MASK)
-            if big == small:
-                changed = True
-                continue
-            rewritten = _pack(big, small)
-            if rewritten != code:
-                changed = True
-            gamma.append(rewritten)
-        delta: List[int] = []
-        for code in clause.delta:
-            big, small = find(code >> SHIFT), find(code & _MASK)
-            rewritten = _pack(big, small)
-            if rewritten != code:
-                changed = True
-            delta.append(rewritten)
-        if not changed:
-            return clause
-        return self._encoder.intern(
-            tuple(sorted(set(gamma))), tuple(sorted(set(delta)))
-        )
-
-    def _demodulate_given(self, given: IntClause) -> Optional[IntClause]:
-        """Forward-simplify a given clause against the absorbed units.
-
-        Returns ``None`` when the demodulated form is already known (it was
-        processed, queued, or discarded before — either way it contributes
-        nothing new), mirroring the ``seen`` dedup of :meth:`_enqueue`.
-
-        Every clause is demodulated once at enqueue and stamped with the
-        union-find generation; if no union fired since, this pop-time pass is
-        provably an identity and is skipped outright.
-        """
-        if given.uf_gen == self._uf_generation:
-            return given
-        rewritten = self._demodulate(given)
-        if rewritten is given:
-            given.uf_gen = self._uf_generation
-            return given
-        rewritten.uf_gen = self._uf_generation
-        if rewritten.seen:
-            return None
-        rewritten.seen = True
-        self._generated += 1
-        if self._generated > self.max_clauses:
-            from repro.superposition.saturation import SaturationLimitError
-
-            raise SaturationLimitError(
-                "saturation exceeded the budget of {} clauses".format(self.max_clauses)
-            )
-        self._derivations[rewritten] = ("unit-rewrite", (given,))
-        return rewritten

@@ -19,11 +19,15 @@ generating clause's remaining literals are false under ``R`` — is exactly the
 property the spatial normalisation rules N1/N3 rely on, so we keep the leftover
 ``Gamma``/``Delta`` of the generating clause alongside each edge.
 
-As a defensive measure :func:`generate_model` verifies that the relation it
-built really satisfies every pure clause of the input.  For a properly
-saturated input this always holds; a failure indicates a saturation bug and
-raises :class:`ModelGenerationError` rather than silently producing a wrong
-answer.
+Both generators verify that the relation they built really satisfies every
+pure clause of the input.  For a properly saturated input this always holds;
+verifying it explicitly is what lets the prover work with partially
+saturated sets (see :func:`_verify_model`).  A failure raises
+:class:`ModelGenerationError` rather than silently producing a wrong answer.
+
+:func:`generate_model` builds the model from scratch (the reference engine's
+path); :class:`IncrementalModelGenerator` maintains it across rounds on the
+dense kernel's clause records (the production engine's path).
 """
 
 from __future__ import annotations
@@ -105,11 +109,7 @@ class EqualityModel:
         return len(self.relation)
 
 
-def generate_model(
-    clauses: Iterable[Clause],
-    order: TermOrder,
-    verify: bool = True,
-) -> EqualityModel:
+def generate_model(clauses: Iterable[Clause], order: TermOrder) -> EqualityModel:
     """Run the candidate-model construction on a saturated set of pure clauses.
 
     Parameters
@@ -118,9 +118,9 @@ def generate_model(
         The saturated pure clauses (the empty clause must not be among them).
     order:
         The term ordering; ``nil`` must be minimal, as the paper requires.
-    verify:
-        When true (the default), check that the generated relation satisfies
-        every input clause and raise :class:`ModelGenerationError` otherwise.
+
+    Raises :class:`ModelGenerationError` when the generated relation does not
+    satisfy every input clause (see :func:`_verify_model`).
     """
     pure_clauses: List[Clause] = []
     for clause in clauses:
@@ -156,8 +156,7 @@ def generate_model(
             leftover_delta=clause.delta - {equation},
         )
 
-    if verify:
-        _verify_model(relation, ordered, generators)
+    _verify_model(relation, ordered, generators)
 
     return EqualityModel(relation=relation, generators=generators, order=order)
 
@@ -165,376 +164,6 @@ def generate_model(
 #: Sentinel for construction-trail positions not yet evaluated (clauses
 #: inserted since the last construction).
 _UNDECIDED = object()
-
-
-class IncrementalModelGenerator:
-    """``Gen(S*)`` maintained incrementally across saturation rounds.
-
-    The prover's inner loop regenerates the candidate model after every
-    saturation chunk and every batch of well-formedness consequences.  Between
-    two consecutive calls the clause set changes only a little, yet the
-    one-shot :func:`generate_model` re-sorts, re-constructs and re-verifies
-    everything from scratch.  This class keeps three pieces of state alive
-    between calls:
-
-    * the **ordered clause list**, maintained insertion-sorted under the
-      memoised ``clause_sort_key`` (which is injective on pure clauses, so
-      positions are unambiguous and removals can be found by bisection);
-    * the **construction trail** — the produce/skip decision at every position
-      of the ordered list.  A decision at position ``i`` depends only on the
-      *rewrite relation* built from the clauses before ``i``, not on those
-      clauses themselves: as long as the edge sequence replayed so far equals
-      the previous construction's, recorded decisions stay valid and are
-      applied without satisfiability checks.  A newly inserted clause is
-      evaluated in place; if it produces **no** edge the relation is
-      unchanged and the replay continues, so only an insertion that actually
-      fires (or the removal of a clause that had fired) invalidates the
-      decisions behind it;
-    * the **verification cache** — the set of clauses already checked against
-      the current rewrite relation, plus the per-edge generator records whose
-      leftover literals were checked.  Satisfaction of a clause depends only
-      on the *normal forms of its own constants*, so the cache is invalidated
-      per constant: when the edge set changes, the generator diffs the
-      normal-form snapshot against the previous round's and re-verifies only
-      the clauses that mention a constant whose normal form actually moved.
-      A round that leaves the edge set unchanged (the common case while the
-      prover narrows in on a stable model) verifies only newly added clauses;
-      a round that adds one edge re-verifies only the clauses in that edge's
-      constant neighbourhood.
-
-    The result is equal to ``generate_model(clauses, order, verify)`` called
-    from scratch on every round — the construction is deterministic and the
-    caches are invalidated exactly when their inputs change.
-    """
-
-    def __init__(self, order: TermOrder, verify: bool = True, dense: bool = True):
-        self.order = order
-        self.verify = verify
-        #: Prefer the dense-side generator when the paired engine exposes a
-        #: kernel core (see :class:`_DenseModelGenerator`); disabled by the
-        #: ``use_dense_models`` ablation, which keeps the decoded-clause feed.
-        self.dense = dense
-        self._dense_impl: Optional[_DenseModelGenerator] = None
-        self._members: Set[Clause] = set()
-        self._keys: List[Tuple] = []
-        self._ordered: List[Clause] = []
-        #: Per-position construction decision: ``None`` (clause produced no
-        #: edge), ``(big, small, GeneratingClause)``, or the ``_UNDECIDED``
-        #: sentinel for positions inserted since the last construction.
-        self._decisions: List[object] = []
-        #: Positions >= the barrier hold decisions made under a relation
-        #: prefix that no longer exists (an edge-producing clause before them
-        #: was removed); they must be re-evaluated.
-        self._replay_barrier = 0
-        self._verified_edges: Optional[FrozenSet[Tuple[Const, Const]]] = None
-        #: Clauses whose satisfaction still has to be checked against the
-        #: current relation (everything else passed under normal forms that
-        #: have not moved since).
-        self._unverified: Set[Clause] = set()
-        self._verified_generators: Dict[Tuple[Const, Const], GeneratingClause] = {}
-        #: constant -> clauses of the current set mentioning it (the
-        #: invalidation neighbourhoods of the per-constant verification cache).
-        self._clauses_by_const: Dict[Const, Set[Clause]] = {}
-        #: Normal form of every constant at the last verification.
-        self._verified_normal_forms: Dict[Const, Const] = {}
-        #: Which key function populated ``_keys``: ``None`` until first use,
-        #: then "symbolic" (``TermOrder.clause_sort_key``), "dense" (the
-        #: kernel's packed literal keys over decoded clauses), or
-        #: "dense-core" (the :class:`_DenseModelGenerator` owns all state).
-        #: The orders agree but the keys/structures don't, so one generator
-        #: must never mix modes.
-        self._key_mode: Optional[str] = None
-
-    def model_for(self, clauses: Iterable[Clause]) -> EqualityModel:
-        """The candidate model of the given clause set (see :func:`generate_model`)."""
-        self._set_key_mode("symbolic")
-        self._update_ordered(clauses)
-        relation, generators = self._construct()
-        if self.verify:
-            self._verify(relation, generators)
-        return EqualityModel(relation=relation, generators=generators, order=self.order)
-
-    def model_for_engine(self, engine) -> EqualityModel:
-        """The candidate model of an engine's current known clause set.
-
-        With a kernel engine and ``dense`` enabled (the default), the whole
-        construction runs on the dense side: a :class:`_DenseModelGenerator`
-        consumes the engine's raw :class:`IntClause` feed and maintains the
-        ordered list, trail and verification caches over integer ids —
-        symbolic objects are materialised only at the model boundary.
-
-        Otherwise, when the engine maintains a (decoded) change feed
-        (``drain_known_changes``), the ordered list, trail and verification
-        caches are updated from the *deltas* under the engine's precomputed
-        dense sort keys, skipping both the full-set diff and the symbolic
-        key computations of :meth:`model_for`; failing that, this falls back
-        to diffing ``known_pure_clauses()``.  The change feed supports one
-        consumer, which is exactly the pairing the prover creates.
-        """
-        if self._dense_impl is not None:
-            return self._dense_impl.model()
-        if self.dense:
-            core_of = getattr(engine, "dense_core", None)
-            core = core_of() if core_of is not None else None
-            if core is not None:
-                self._set_key_mode("dense-core")
-                self._dense_impl = _DenseModelGenerator(core, self.order, self.verify)
-                return self._dense_impl.model()
-        changes = engine.drain_known_changes()
-        if changes is None:
-            return self.model_for(engine.known_pure_clauses())
-        self._set_key_mode("dense")
-        added, removed = changes
-        if added or removed:
-            self._apply_changes(added, removed)
-        relation, generators = self._construct()
-        if self.verify:
-            self._verify(relation, generators)
-        return EqualityModel(relation=relation, generators=generators, order=self.order)
-
-    # -- internals -----------------------------------------------------------
-    def _set_key_mode(self, mode: str) -> None:
-        if self._key_mode is None:
-            self._key_mode = mode
-        elif self._key_mode != mode:
-            raise RuntimeError(
-                "an IncrementalModelGenerator cannot mix dense-keyed and "
-                "symbolically-keyed updates; pair it with one engine"
-            )
-
-    def _apply_changes(self, added, removed) -> None:
-        """Apply a keyed known-set delta to the ordered list and the caches."""
-        by_const = self._clauses_by_const
-        members = self._members
-        unverified = self._unverified
-        for clause, key in removed:
-            if clause not in members:
-                continue
-            members.discard(clause)
-            position = bisect_left(self._keys, key)
-            decision = self._decisions[position]
-            del self._keys[position]
-            del self._ordered[position]
-            del self._decisions[position]
-            if decision is not None and decision is not _UNDECIDED:
-                self._replay_barrier = min(self._replay_barrier, position)
-            elif position < self._replay_barrier:
-                self._replay_barrier -= 1
-            unverified.discard(clause)
-            for constant in clause.constants():
-                bucket = by_const.get(constant)
-                if bucket is not None:
-                    bucket.discard(clause)
-        for clause, key in added:
-            if not clause.is_pure:
-                raise ValueError("generate_model expects pure clauses only")
-            if clause.is_empty:
-                raise ValueError("cannot generate a model: the empty clause is present")
-            if clause.is_tautology or clause in members:
-                continue
-            members.add(clause)
-            position = bisect_left(self._keys, key)
-            self._keys.insert(position, key)
-            self._ordered.insert(position, clause)
-            self._decisions.insert(position, _UNDECIDED)
-            if position < self._replay_barrier:
-                self._replay_barrier += 1
-            unverified.add(clause)
-            for constant in clause.constants():
-                by_const.setdefault(constant, set()).add(clause)
-    def _update_ordered(self, clauses: Iterable[Clause]) -> None:
-        current: Set[Clause] = set()
-        for clause in clauses:
-            if not clause.is_pure:
-                raise ValueError("generate_model expects pure clauses only")
-            if clause.is_empty:
-                raise ValueError("cannot generate a model: the empty clause is present")
-            if clause.is_tautology:
-                continue
-            current.add(clause)
-        if current == self._members:
-            return
-        sort_key = self.order.clause_sort_key
-        by_const = self._clauses_by_const
-        for clause in self._members - current:
-            position = bisect_left(self._keys, sort_key(clause))
-            decision = self._decisions[position]
-            del self._keys[position]
-            del self._ordered[position]
-            del self._decisions[position]
-            if decision is not None and decision is not _UNDECIDED:
-                # The removed clause had produced an edge: everything behind
-                # it was decided against a relation that no longer exists.
-                self._replay_barrier = min(self._replay_barrier, position)
-            elif position < self._replay_barrier:
-                self._replay_barrier -= 1
-            self._unverified.discard(clause)
-            for constant in clause.constants():
-                bucket = by_const.get(constant)
-                if bucket is not None:
-                    bucket.discard(clause)
-        for clause in current - self._members:
-            key = sort_key(clause)
-            position = bisect_left(self._keys, key)
-            self._keys.insert(position, key)
-            self._ordered.insert(position, clause)
-            self._decisions.insert(position, _UNDECIDED)
-            if position < self._replay_barrier:
-                self._replay_barrier += 1
-            self._unverified.add(clause)
-            for constant in clause.constants():
-                by_const.setdefault(constant, set()).add(clause)
-        self._members = current
-
-    def _construct(self) -> Tuple[RewriteRelation, Dict[Tuple[Const, Const], GeneratingClause]]:
-        relation = RewriteRelation()
-        generators: Dict[Tuple[Const, Const], GeneratingClause] = {}
-        decisions = self._decisions
-        production_of = self.order.production
-        barrier = self._replay_barrier
-        trusted = True
-        # Normal forms of the relation built *so far*, maintained eagerly as
-        # edges are added (``_apply_edge``): evaluating a clause is then a
-        # dictionary hit per constant instead of a rewrite-chain chase
-        # against the relation's (edge-invalidated) cache.
-        normal_forms: Dict[Const, Const] = {}
-        nf_get = normal_forms.get
-        #: normal form -> every constant currently mapping to it.
-        classes: Dict[Const, List[Const]] = {}
-
-        def apply_edge(big: Const, small: Const) -> None:
-            relation.add_edge(big, small)
-            target = nf_get(small, small)
-            group = classes.pop(big, None)
-            if group is None:
-                group = [big]
-            else:
-                group.append(big)
-            for constant in group:
-                normal_forms[constant] = target
-            bucket = classes.get(target)
-            if bucket is None:
-                classes[target] = group
-            else:
-                bucket.extend(group)
-
-        for position, clause in enumerate(self._ordered):
-            if trusted:
-                if position >= barrier:
-                    trusted = False
-                else:
-                    decision = decisions[position]
-                    if decision is not _UNDECIDED:
-                        # Replay: the relation built so far equals the one
-                        # this decision was made under, so it still holds —
-                        # no satisfiability check needed.
-                        if decision is not None:
-                            big, small, generator = decision
-                            apply_edge(big, small)
-                            generators[(big, small)] = generator
-                        continue
-            satisfied = False
-            for atom in clause.gamma:
-                left, right = atom.left, atom.right
-                if nf_get(left, left) != nf_get(right, right):
-                    satisfied = True
-                    break
-            if not satisfied:
-                for atom in clause.delta:
-                    left, right = atom.left, atom.right
-                    if nf_get(left, left) == nf_get(right, right):
-                        satisfied = True
-                        break
-            fresh = None
-            if not satisfied:
-                production = production_of(clause)
-                if production is not None and production[0] not in relation:
-                    big, small, equation = production
-                    apply_edge(big, small)
-                    generator = GeneratingClause(
-                        clause=clause,
-                        equation=equation,
-                        leftover_gamma=clause.gamma,
-                        leftover_delta=clause.delta - {equation},
-                    )
-                    generators[(big, small)] = generator
-                    fresh = (big, small, generator)
-            if trusted and fresh is not None:
-                # A newly inserted clause produced an edge the previous
-                # construction did not have: the recorded suffix no longer
-                # describes this relation.
-                trusted = False
-            decisions[position] = fresh
-        self._replay_barrier = len(self._ordered)
-        return relation, generators
-
-    def _verify(
-        self,
-        relation: RewriteRelation,
-        generators: Dict[Tuple[Const, Const], GeneratingClause],
-    ) -> None:
-        edges = relation.edge_set()
-        unverified = self._unverified
-        if edges != self._verified_edges:
-            # The edge set moved: a clause's satisfaction only depends on the
-            # normal forms of its own constants, so re-verify exactly the
-            # clauses in the neighbourhood of the constants whose normal form
-            # actually changed (diff of the two snapshots) instead of
-            # everything.
-            snapshot = relation.normal_form_snapshot(self._clauses_by_const)
-            previous = self._verified_normal_forms
-            for constant, normal in snapshot.items():
-                if previous.get(constant, constant) != normal:
-                    unverified |= self._clauses_by_const[constant]
-            self._verified_normal_forms = snapshot
-            self._verified_edges = edges
-            self._verified_generators = {}
-        if unverified:
-            # Evaluate straight off the normal-form snapshot: one dictionary
-            # hit per constant instead of a satisfies_pure_clause call that
-            # re-chases (cached) rewrite paths per literal.
-            snapshot = self._verified_normal_forms
-            snapshot_get = snapshot.get
-            normal_form = relation.normal_form
-            for clause in list(unverified):
-                satisfied = False
-                for atom in clause.gamma:
-                    left, right = atom.left, atom.right
-                    if (snapshot_get(left) or normal_form(left)) != (
-                        snapshot_get(right) or normal_form(right)
-                    ):
-                        satisfied = True
-                        break
-                if not satisfied:
-                    for atom in clause.delta:
-                        left, right = atom.left, atom.right
-                        if (snapshot_get(left) or normal_form(left)) == (
-                            snapshot_get(right) or normal_form(right)
-                        ):
-                            satisfied = True
-                            break
-                if not satisfied:
-                    raise ModelGenerationError(
-                        "the candidate model does not satisfy the clause {}".format(
-                            clause
-                        )
-                    )
-                unverified.discard(clause)
-        checked_generators = self._verified_generators
-        for edge, generator in generators.items():
-            if checked_generators.get(edge) == generator:
-                continue
-            leftover_ok = all(
-                relation.satisfies_atom(atom) for atom in generator.leftover_gamma
-            ) and not any(relation.satisfies_atom(atom) for atom in generator.leftover_delta)
-            if not leftover_ok:
-                raise ModelGenerationError(
-                    "the generating clause of the edge {} => {} has leftover literals "
-                    "that the candidate model does not refute ({})".format(
-                        edge[0], edge[1], generator.clause
-                    )
-                )
-            checked_generators[edge] = generator
 
 
 def _const_ids_of(clause: IntClause) -> List[int]:
@@ -555,35 +184,61 @@ def _const_ids_of(clause: IntClause) -> List[int]:
     return ids
 
 
-class _DenseModelGenerator:
-    """``Gen(S*)`` over :class:`IntClause` records and dense constant ids.
+class IncrementalModelGenerator:
+    """``Gen(S*)`` maintained incrementally across saturation rounds.
 
-    The dense twin of :class:`IncrementalModelGenerator`'s internals: the
-    same ordered list / construction trail / per-constant verification cache
-    design, but every structure is keyed by integers — clauses come straight
-    off the kernel's raw change feed (``drain_known_changes_raw``), ordering
-    uses the precomputed packed sort keys, satisfaction checks unpack atom
-    codes with two shifts, and the rewrite relation is a plain ``int -> int``
+    The prover's inner loop regenerates the candidate model after every
+    saturation chunk and every batch of well-formedness consequences.  Between
+    two consecutive calls the clause set changes only a little, yet the
+    one-shot :func:`generate_model` re-sorts, re-constructs and re-verifies
+    everything from scratch.  This class keeps three pieces of state alive
+    between calls:
+
+    * the **ordered clause list**, maintained insertion-sorted under the
+      dense clause sort key (which is injective, so positions are
+      unambiguous and removals can be found by bisection);
+    * the **construction trail** — the produce/skip decision at every position
+      of the ordered list.  A decision at position ``i`` depends only on the
+      *rewrite relation* built from the clauses before ``i``, not on those
+      clauses themselves: as long as the edge sequence replayed so far equals
+      the previous construction's, recorded decisions stay valid and are
+      applied without satisfiability checks.  A newly inserted clause is
+      evaluated in place; if it produces **no** edge the relation is
+      unchanged and the replay continues, so only an insertion that actually
+      fires (or the removal of a clause that had fired) invalidates the
+      decisions behind it;
+    * the **verification cache** — the set of clauses already checked against
+      the current rewrite relation, plus the per-edge generating clauses
+      whose leftover literals were checked.  Satisfaction of a clause depends
+      only on the *normal forms of its own constants*, so the cache is
+      invalidated per constant: when the edge set changes, the generator
+      diffs the normal-form snapshot against the previous round's and
+      re-verifies only the clauses that mention a constant whose normal form
+      actually moved.
+
+    Every structure is keyed by integers: clauses come straight off the
+    kernel's raw change feed (``drain_known_changes_raw``), ordering uses the
+    precomputed packed sort keys, satisfaction checks unpack atom codes with
+    two shifts, and the rewrite relation is a plain ``int -> int``
     dictionary.  Nothing is decoded during maintenance; symbolic objects are
     built only in :meth:`_materialise` — and even there, an unchanged
     edge/generator sequence returns the previous round's
     :class:`EqualityModel` object outright, with its normal-form cache primed
     from the construction's own snapshot.
 
-    Equivalence with the symbolic generator is structural: the dense sort key
-    is order- and equality-isomorphic to ``TermOrder.clause_sort_key``, the
-    precomputed ``IntClause.production`` agrees with ``TermOrder.production``
-    literal-for-literal, and satisfaction is evaluated over the same normal
-    forms — so the construction visits the same clauses in the same order and
-    produces the identical edge and generator sequence (pinned by the matrix
-    tests in ``tests/test_kernel.py``).
+    The result equals ``generate_model`` called from scratch on the engine's
+    known clauses every round: the dense sort key is order- and
+    equality-isomorphic to ``TermOrder.clause_sort_key``, the precomputed
+    ``IntClause.production`` agrees with ``TermOrder.production``
+    literal-for-literal, satisfaction is evaluated over the same normal
+    forms, and the caches are invalidated exactly when their inputs change
+    (pinned round for round by ``tests/test_kernel.py``).
     """
 
-    def __init__(self, core, order: TermOrder, verify: bool):
-        self._core = core
-        self._encoder = core.encoder
+    def __init__(self, order: TermOrder):
         self.order = order
-        self.verify = verify
+        self._core = None
+        self._encoder = None
         self._members: Set[IntClause] = set()
         self._keys: List[Tuple[int, ...]] = []
         self._ordered: List[IntClause] = []
@@ -604,14 +259,28 @@ class _DenseModelGenerator:
         self._boundary_signature: Optional[List[Tuple[int, int, int]]] = None
         self._boundary_model: Optional[EqualityModel] = None
 
-    def model(self) -> EqualityModel:
-        """The candidate model of the paired core's current known set."""
+    def model_for_engine(self, engine) -> EqualityModel:
+        """The candidate model of a kernel engine's current known clause set.
+
+        The first call pairs the generator with the engine's kernel core (the
+        change feed supports one consumer, which is exactly the pairing the
+        prover creates).  The reference engine has no core; it builds its
+        models with :func:`generate_model`.
+        """
+        if self._core is None:
+            core = engine.dense_core()
+            if core is None:
+                raise ValueError(
+                    "the incremental model generator needs a kernel engine; "
+                    "use generate_model with the reference engine"
+                )
+            self._core = core
+            self._encoder = core.encoder
         added, removed = self._core.drain_known_changes_raw()
         if added or removed:
             self._apply_changes(added, removed)
         edges, gen_of, normal_forms = self._construct()
-        if self.verify:
-            self._verify(edges, gen_of, normal_forms)
+        self._verify(edges, gen_of, normal_forms)
         return self._materialise(edges, gen_of, normal_forms)
 
     # -- maintenance ---------------------------------------------------------
@@ -641,7 +310,7 @@ class _DenseModelGenerator:
                     bucket.discard(clause)
         for clause in added:
             # Kernel clauses are pure by construction; the feed filters
-            # tautologies, but mirror the symbolic guards for direct users.
+            # tautologies, but mirror generate_model's guards.
             if clause.is_empty:
                 raise ValueError("cannot generate a model: the empty clause is present")
             if clause.is_tautology or clause in members:
@@ -667,8 +336,9 @@ class _DenseModelGenerator:
         trusted = True
         edges: Dict[int, int] = {}
         gen_of: Dict[Tuple[int, int], IntClause] = {}
-        # Normal forms of the relation built so far, maintained eagerly per
-        # edge exactly like the symbolic `_construct` (ids absent from the
+        # Normal forms of the relation built so far, maintained eagerly as
+        # edges are added: evaluating a clause is then a dictionary hit per
+        # constant instead of a rewrite-chain chase (ids absent from the
         # dict are their own normal form).
         normal_forms: Dict[int, int] = {}
         nf_get = normal_forms.get

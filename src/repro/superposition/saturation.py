@@ -24,15 +24,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.logic.clauses import Clause
 from repro.logic.ordering import TermOrder
 from repro.superposition.calculus import Inference, SuperpositionCalculus
-from repro.superposition.index import ClauseIndex
-
-#: Active-clause count below which maintaining index buckets costs more than
-#: the linear scans they replace.  The engine (both the symbolic and the
-#: dense-kernel path) starts with plain scans and bulk-activates the index
-#: the first time the active set reaches this size; on the Table 1 n=12 row
-#: the crossover is what turns the index from a small loss into a win (see
-#: PERFORMANCE.md, "Adaptive index activation").
-ADAPTIVE_INDEX_THRESHOLD = 24
 
 
 class SaturationLimitError(RuntimeError):
@@ -45,8 +36,8 @@ class DeadlineExceeded(RuntimeError):
     The prover arms the engine with :meth:`SaturationEngine.set_deadline`;
     the loop checks the clock before every given clause, so a cooperative
     timeout overruns by at most one inference step — not a whole
-    ``saturation_chunk`` round, which on a pathological instance is an
-    unbounded amount of work.  The prover converts this into a
+    saturation round, which on a pathological instance is an unbounded
+    amount of work.  The prover converts this into a
     :class:`~repro.core.prover.ProverTimeout` carrying partial statistics.
     """
 
@@ -129,70 +120,28 @@ class SaturationEngine:
         A safety budget; the fragment guarantees termination (there are only
         finitely many pure clauses over the problem's constants) but the bound
         protects against pathological blow-ups in benchmarks.
-    use_index:
-        Maintain a :class:`~repro.superposition.index.ClauseIndex` over the
-        active set so subsumption and inference-partner selection are index
-        lookups instead of linear scans.  The unindexed path is kept as the
-        reference implementation (the two derive identical clauses in an
-        identical order); disabling it is only useful for the equivalence
-        tests and the ablation benchmarks.  Index maintenance is *adaptive*:
-        buckets are only built once the active set reaches
-        ``index_threshold`` clauses (below that, linear scans win).
     use_kernel:
-        Run the given-clause loop on the dense integer representation
-        (:mod:`repro.superposition.kernel`): constants interned to small ints
-        in term order, literals packed into ints, ordering checks compiled to
-        integer compares.  The kernel derives byte-identical clauses in an
-        identical order to the symbolic path; inputs and outputs stay
-        symbolic :class:`Clause` objects (encode/decode happens at this
-        class's boundary).
-    use_unit_rewrite:
-        Absorb unit positive equalities into a union-find over dense
-        constant ids and forward-simplify (demodulate) every clause before it
-        is processed.  This is a genuine simplification — it *changes* the
-        derivation sequence and the generated-clause count — so it is pinned
-        for verdict equivalence only, and requires the kernel.
-    index_threshold:
-        Override the adaptive activation point (``None`` uses
-        :data:`ADAPTIVE_INDEX_THRESHOLD`; ``0`` builds the index from the
-        first clause, the pre-adaptive behaviour).
-    use_bitset:
-        Run subsumption on exact per-clause literal bitsets (big-int masks
-        over a per-engine atom-slot table, with a numpy bulk path for large
-        index buckets).  Containment answers are exact, so derivations stay
-        byte-identical; requires the kernel.
+        Run the given-clause loop on the dense integer kernel
+        (:class:`~repro.superposition.kernel.IntSaturationCore`), the
+        production engine.  ``False`` runs the reference loop implemented
+        here: symbolic clauses and linear scans for subsumption and
+        inference partners.  Both derive identical clauses, in an identical
+        order, with identical derivation records; inputs and outputs are
+        symbolic :class:`Clause` objects either way (the kernel encodes and
+        decodes at its boundary).
     """
 
-    def __init__(
-        self,
-        order: TermOrder,
-        max_clauses: int = 200000,
-        use_index: bool = True,
-        use_kernel: bool = True,
-        use_unit_rewrite: bool = False,
-        index_threshold: Optional[int] = None,
-        use_bitset: bool = False,
-    ):
+    def __init__(self, order: TermOrder, max_clauses: int = 200000, use_kernel: bool = True):
         self.order = order
         self.calculus = SuperpositionCalculus(order)
         self.max_clauses = max_clauses
-        threshold = ADAPTIVE_INDEX_THRESHOLD if index_threshold is None else index_threshold
-        if use_unit_rewrite and not use_kernel:
-            raise ValueError("unit-rewrite simplification requires the integer kernel")
-        if use_bitset and not use_kernel:
-            raise ValueError("bitset subsumption requires the integer kernel")
         if use_kernel:
             from repro.superposition.kernel import IntSaturationCore
 
-            self._core: Optional[IntSaturationCore] = IntSaturationCore(
-                order, max_clauses, use_index, use_unit_rewrite, threshold, use_bitset
-            )
+            self._core: Optional[IntSaturationCore] = IntSaturationCore(order, max_clauses)
             return
         self._core = None
         self._deadline: Optional[float] = None
-        self._index: Optional[ClauseIndex] = ClauseIndex(order) if use_index else None
-        self._index_live = False
-        self._index_threshold = threshold
         self._active: List[Clause] = []
         self._active_set: Set[Clause] = set()
         # Passive clauses are processed smallest-first (by literal count), which
@@ -240,14 +189,25 @@ class SaturationEngine:
             self._deadline = deadline
 
     def add_clauses(self, clauses: Iterable[Clause]) -> None:
-        """Queue new input pure clauses for the next saturation round."""
+        """Queue new input pure clauses for the next saturation round.
+
+        A clause that equality resolution simplifies is queued in its
+        simplified form, recorded as an ``equality-resolution`` step from the
+        clause as given, so a refutation through it has no gap.
+        """
         if self._core is not None:
             self._core.add_clauses(clauses)
             return
         for clause in clauses:
             if not clause.is_pure:
                 raise ValueError("the saturation engine only accepts pure clauses")
-            self._enqueue(clause, inference=None)
+            simplified = self.calculus.simplify(clause)
+            if simplified is clause:
+                self._enqueue(clause, inference=None)
+            else:
+                self._enqueue(
+                    simplified, Inference(simplified, "equality-resolution", (clause,))
+                )
 
     def saturate(self, max_given: Optional[int] = None) -> SaturationResult:
         """Run the given-clause loop, optionally bounding the work of this call.
@@ -288,13 +248,7 @@ class SaturationEngine:
 
             new_inferences: List[Inference] = []
             new_inferences.extend(self.calculus.infer_within(given))
-            if self._index is not None and self._index_live:
-                # Index lookup: only the actives sharing a rewritable position
-                # with ``given``, in the same order the full scan would visit
-                # them.  ``infer_between`` returns [] for every skipped pair.
-                partners: Iterable[Clause] = self._index.inference_partners(given)
-            else:
-                partners = [other for other in list(self._active) if other is not given]
+            partners = [other for other in list(self._active) if other is not given]
             for other in partners:
                 new_inferences.extend(self.calculus.infer_between(given, other))
                 new_inferences.extend(self.calculus.infer_between(other, given))
@@ -325,22 +279,10 @@ class SaturationEngine:
         passive = [clause for _, _, clause in self._passive if clause in self._passive_set]
         return tuple(self._active) + tuple(passive)
 
-    def drain_known_changes(self) -> Optional[Tuple[List[Clause], List[Clause]]]:
-        """Net known-set changes since the last drain, or ``None`` (unsupported).
-
-        Only the kernel path maintains the change feed; the symbolic path
-        returns ``None`` and consumers fall back to diffing
-        :meth:`known_pure_clauses` (see
-        ``IncrementalModelGenerator.model_for_engine``).
-        """
-        if self._core is not None:
-            return self._core.drain_known_changes()
-        return None
-
     def dense_core(self):
-        """The kernel core, or ``None`` on the symbolic path.
+        """The kernel core, or ``None`` on the reference engine.
 
-        The dense model generator pairs with the core directly (raw
+        The incremental model generator pairs with the core directly (raw
         :class:`~repro.superposition.kernel.IntClause` feed, no decoding);
         everything else should go through this facade.
         """
@@ -401,32 +343,11 @@ class SaturationEngine:
         if clause not in self._active_set:
             self._active.append(clause)
             self._active_set.add(clause)
-            if self._index is not None and not clause.is_empty:
-                if self._index_live:
-                    self._index.add(clause)
-                elif len(self._active) >= self._index_threshold:
-                    # Adaptive activation: the first time the active set is
-                    # large enough for bucket lookups to beat linear scans,
-                    # index everything accumulated so far and stay indexed.
-                    for active in self._active:
-                        if not active.is_empty:
-                            self._index.add(active)
-                    self._index_live = True
 
     def _is_subsumed_by_active(self, clause: Clause) -> bool:
-        if self._index is not None and self._index_live:
-            return self._index.is_subsumed(clause)
         return any(active.subsumes(clause) for active in self._active)
 
     def _remove_subsumed_active(self, clause: Clause) -> None:
-        if self._index is not None and self._index_live:
-            victims = self._index.subsumed_by(clause)
-            if victims:
-                for victim in victims:
-                    self._index.remove(victim)
-                self._active = [active for active in self._active if active not in victims]
-                self._active_set.difference_update(victims)
-            return
         survivors = [active for active in self._active if not clause.subsumes(active)]
         if len(survivors) != len(self._active):
             self._active = survivors

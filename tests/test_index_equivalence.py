@@ -1,12 +1,13 @@
-"""Equivalence of the indexed fast paths against the reference implementations.
+"""Equivalence of the production engine against the reference oracle.
 
-The clause index and the incremental model generator are pure optimisations:
-the engine must derive *identical* clauses in an *identical* order, and the
-prover must return identical verdicts with identical work counters, whether
-the fast paths are enabled (the default) or not (``ProverConfig.reference()``,
-which reproduces the seed engine's linear scans and from-scratch model
-builds).  These tests pin that property on a sizeable random corpus, at both
-the engine level and the whole-prover level.
+The dense kernel, its clause index and the incremental model generator are
+pure optimisations: the engine must derive *identical* clauses in an
+*identical* order, and the prover must return identical verdicts with
+identical work counters, whether it runs the default engine or
+``ProverConfig.reference()`` (the symbolic loop with linear scans and
+from-scratch model builds).  These tests pin that property on a sizeable
+random corpus, at both the engine level and the whole-prover level, and pin
+the clause index's queries against brute force.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile, STRATEGI
 from repro.logic.cnf import cnf
 from repro.logic.ordering import default_order
 from repro.semantics.satisfaction import falsifies_entailment
-from repro.superposition.index import ClauseIndex
+from repro.superposition.kernel import DenseEncoder, IntClauseIndex
 from repro.superposition.saturation import SaturationEngine
 
 #: Size of the random-entailment corpus (the acceptance criterion asks >= 200).
@@ -64,43 +65,33 @@ def test_indexed_prover_matches_reference_on_corpus():
             assert falsifies_entailment(cex.stack, cex.heap, entailment)
 
 
-#: The {kernel} x {index} x {bitset} engine matrix: bitset subsumption
-#: requires the kernel, so the full cross product has six members.
-ENGINE_MATRIX = tuple(
-    (use_kernel, use_index, use_bitset)
-    for use_kernel in (True, False)
-    for use_index in (True, False)
-    for use_bitset in ((True, False) if use_kernel else (False,))
-)
+#: The two engines, as ``use_kernel`` values: the kernel, then the reference.
+ENGINE_MATRIX = (True, False)
+
+
+def _saturated_engines(entailment):
+    embedding = cnf(entailment)
+    engines = []
+    for use_kernel in ENGINE_MATRIX:
+        engine = SaturationEngine(default_order(entailment.constants()), use_kernel=use_kernel)
+        engine.add_clauses(embedding.pure_clauses)
+        engine.saturate()
+        engines.append(engine)
+    return engines
 
 
 def test_indexed_engine_derives_identical_clause_sets():
     """The given-clause loop itself: same actives, in the same order, same counts.
 
-    The matrix covers the clause index, the integer kernel and bitset
-    subsumption independently — all six configurations must agree
-    clause-for-clause (see also tests/test_kernel.py for the kernel-specific
+    The kernel (with its clause index) must agree clause-for-clause with the
+    reference loop (see also tests/test_kernel.py for the kernel-specific
     pins).
     """
     for entailment in _corpus()[:60]:
-        embedding = cnf(entailment)
-        engines = []
-        for use_kernel, use_index, use_bitset in ENGINE_MATRIX:
-            order = default_order(entailment.constants())
-            engine = SaturationEngine(
-                order,
-                use_index=use_index,
-                use_kernel=use_kernel,
-                use_bitset=use_bitset,
-            )
-            engine.add_clauses(embedding.pure_clauses)
-            engine.saturate()
-            engines.append(engine)
-        naive = engines[-1]
-        for engine in engines[:-1]:
-            assert engine.refuted == naive.refuted
-            assert engine.clauses() == naive.clauses()
-            assert engine.generated_count == naive.generated_count
+        kernel, naive = _saturated_engines(entailment)
+        assert kernel.refuted == naive.refuted
+        assert kernel.clauses() == naive.clauses()
+        assert kernel.generated_count == naive.generated_count
 
 
 class TestGeneratorRoutedProperties:
@@ -134,28 +125,18 @@ class TestGeneratorRoutedProperties:
     @given(seed=st.integers(min_value=0, max_value=2 ** 30))
     def test_engine_clause_sets_agree_on_generated_instances(self, seed):
         entailment = EntailmentGenerator(seed=seed).case(0).entailment
-        embedding = cnf(entailment)
-        engines = []
-        for use_kernel, use_index, use_bitset in ENGINE_MATRIX:
-            order = default_order(entailment.constants())
-            engine = SaturationEngine(
-                order,
-                use_index=use_index,
-                use_kernel=use_kernel,
-                use_bitset=use_bitset,
-            )
-            engine.add_clauses(embedding.pure_clauses)
-            engine.saturate()
-            engines.append(engine)
-        naive = engines[-1]
-        for engine in engines[:-1]:
-            assert engine.refuted == naive.refuted
-            assert engine.clauses() == naive.clauses()
-            assert engine.generated_count == naive.generated_count
+        kernel, naive = _saturated_engines(entailment)
+        assert kernel.refuted == naive.refuted
+        assert kernel.clauses() == naive.clauses()
+        assert kernel.generated_count == naive.generated_count
 
 
 class TestClauseIndex:
-    """Unit tests of the index against brute-force answers."""
+    """Unit tests of the kernel's clause index against brute-force answers.
+
+    The oracle is the symbolic :meth:`Clause.subsumes` and the calculus's
+    inference rules; the index sees the same clauses in dense form.
+    """
 
     @staticmethod
     def _random_pure_clauses(rng, count=120, n_vars=6):
@@ -182,24 +163,33 @@ class TestClauseIndex:
                 clauses.append(clause)
         return clauses
 
-    def test_subsumption_queries_match_brute_force(self):
-        rng = random.Random(7)
-        clauses = self._random_pure_clauses(rng)
+    @staticmethod
+    def _indexed(clauses):
+        """An empty index and the dense form of each clause."""
         order = default_order(
             [c for clause in clauses for c in clause.constants()]
         )
-        index = ClauseIndex(order)
+        encoder = DenseEncoder(order)
+        return IntClauseIndex(), {clause: encoder.encode_clause(clause) for clause in clauses}
+
+    def test_subsumption_queries_match_brute_force(self):
+        """Forward and backward subsumption, across adds and removes."""
+        rng = random.Random(7)
+        clauses = self._random_pure_clauses(rng, count=140)
+        index, dense = self._indexed(clauses)
         active = []
         for clause in clauses:
             expected_forward = any(a.subsumes(clause) for a in active)
-            assert index.is_subsumed(clause) == expected_forward
-            expected_backward = {a for a in active if clause.subsumes(a)}
-            assert index.subsumed_by(clause) == expected_backward
+            assert index.is_subsumed(dense[clause]) == expected_forward
+            expected_backward = [a for a in active if clause.subsumes(a)]
+            victims = index.subsumed_by(dense[clause])
+            assert set(victims) == {dense[a] for a in expected_backward}
+            assert len(victims) == len(expected_backward)
             # Mirror the engine: drop the subsumed, then activate the clause.
             for victim in expected_backward:
-                index.remove(victim)
+                index.remove(dense[victim])
                 active.remove(victim)
-            index.add(clause)
+            index.add(dense[clause])
             active.append(clause)
         assert len(index) == len(active)
 
@@ -208,14 +198,13 @@ class TestClauseIndex:
 
         rng = random.Random(11)
         clauses = self._random_pure_clauses(rng, count=80)
-        order = default_order(
+        index, dense = self._indexed(clauses)
+        calculus = SuperpositionCalculus(default_order(
             [c for clause in clauses for c in clause.constants()]
-        )
-        calculus = SuperpositionCalculus(order)
-        index = ClauseIndex(order)
+        ))
         active = []
         for given in clauses:
-            partners = index.inference_partners(given)
+            partners = index.inference_partners(dense[given])
             partner_set = set(partners)
             # Soundness: every pair the naive scan would find is offered.
             for other in active:
@@ -224,26 +213,24 @@ class TestClauseIndex:
                 if calculus.infer_between(given, other) or calculus.infer_between(
                     other, given
                 ):
-                    assert other in partner_set, (given, other)
+                    assert dense[other] in partner_set, (given, other)
             # Order: partners come back in activation order.
-            positions = [active.index(p) for p in partners]
+            activated = [dense[a] for a in active]
+            positions = [activated.index(p) for p in partners]
             assert positions == sorted(positions)
-            index.add(given)
+            index.add(dense[given])
             active.append(given)
 
     def test_remove_is_complete(self):
         rng = random.Random(3)
         clauses = self._random_pure_clauses(rng, count=40)
-        order = default_order(
-            [c for clause in clauses for c in clause.constants()]
-        )
-        index = ClauseIndex(order)
+        index, dense = self._indexed(clauses)
         for clause in clauses:
-            index.add(clause)
+            index.add(dense[clause])
         for clause in clauses:
-            index.remove(clause)
+            index.remove(dense[clause])
         assert len(index) == 0
         for clause in clauses:
-            assert not index.is_subsumed(clause)
-            assert index.subsumed_by(clause) == set()
-            assert index.inference_partners(clause) == []
+            assert not index.is_subsumed(dense[clause])
+            assert index.subsumed_by(dense[clause]) == []
+            assert index.inference_partners(dense[clause]) == []

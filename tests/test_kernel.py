@@ -1,24 +1,17 @@
 """The dense integer clause kernel: encoding round-trips, byte-identical
-derivations, dense ordering keys, adaptive indexing and the unit-rewrite
-simplification layer.
+derivations, dense ordering keys, adaptive indexing, the engine-to-model
+change feed and the incremental model generator.
 
 The kernel (``repro/superposition/kernel.py``) re-implements the given-clause
-loop over packed integers; everything here pins the two contracts it ships
-under:
-
-* **representation transparency** — encode/decode is lossless and the kernel
-  engine derives *byte-identical clauses in identical order* to the symbolic
-  engine, for every combination of the index flag (the symbolic path is
-  itself pinned against ``ProverConfig.reference()`` by
-  ``test_index_equivalence.py``);
-* **verdict equivalence only** for unit-rewrite mode — demodulation changes
-  the derivation sequence by design, so it is checked against the reference
-  configuration and (in the differential campaigns) the enumeration oracle.
+loop over packed integers; everything here pins the contract it ships under,
+**representation transparency**: encode/decode is lossless, the kernel
+engine derives *byte-identical clauses in identical order* to the reference
+engine (``ProverConfig.reference()``, the symbolic loop), and the
+incremental model generator builds the models ``generate_model`` builds from
+scratch.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +26,11 @@ from repro.logic.intern import intern_atom
 from repro.logic.ordering import default_order
 from repro.logic.terms import NIL, make_const, variable_pool
 from repro.superposition.kernel import DenseEncoder, IntSaturationCore
+from repro.superposition.model import (
+    IncrementalModelGenerator,
+    ModelGenerationError,
+    generate_model,
+)
 from repro.superposition.saturation import SaturationEngine
 
 CORPUS_SEED = 20260727
@@ -132,41 +130,33 @@ class TestDenseSortKey:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identical derivations: the {kernel} x {index} matrix
+# Byte-identical derivations: kernel against reference
 # ---------------------------------------------------------------------------
 
 
-def _saturate(entailment, use_kernel, use_index, **engine_kwargs):
+def _saturate(entailment, use_kernel):
     order = default_order(entailment.constants())
-    engine = SaturationEngine(
-        order, use_index=use_index, use_kernel=use_kernel, **engine_kwargs
-    )
+    engine = SaturationEngine(order, use_kernel=use_kernel)
     engine.add_clauses(cnf(entailment).pure_clauses)
     engine.saturate()
     return engine
 
 
-#: {kernel} x {index} x {bitset}: bitset subsumption needs the kernel, so
-#: the full cross product has six members; the last is the symbolic,
-#: unindexed reference behaviour.
-ENGINE_MATRIX = tuple(
-    (use_kernel, use_index, use_bitset)
-    for use_kernel in (True, False)
-    for use_index in (True, False)
-    for use_bitset in ((True, False) if use_kernel else (False,))
-)
+#: The two engines, as ``use_kernel`` values; the last is the reference.
+ENGINE_MATRIX = (True, False)
+
+#: Index activation points for the invisibility checks: from the first
+#: clause, early, and never.
+THRESHOLDS = (0, 4, 10 ** 9)
 
 
 class TestKernelDerivationIdentity:
     def test_kernel_matrix_derives_identical_clauses_on_corpus(self):
-        """All six engine configurations: same actives, same order, same
-        counts, same derivation records, over the equivalence corpus."""
+        """Both engines: same actives, same order, same counts, same
+        derivation records, over the equivalence corpus."""
         for entailment in _mixed_theory_corpus(60):
-            engines = [
-                _saturate(entailment, use_kernel, use_index, use_bitset=use_bitset)
-                for use_kernel, use_index, use_bitset in ENGINE_MATRIX
-            ]
-            base = engines[-1]  # symbolic, unindexed: the reference behaviour
+            engines = [_saturate(entailment, use_kernel) for use_kernel in ENGINE_MATRIX]
+            base = engines[-1]  # symbolic, unindexed: the reference engine
             base_derivations = {
                 clause: (inference.rule, inference.premises)
                 for clause, inference in base.derivations.items()
@@ -186,8 +176,8 @@ class TestKernelDerivationIdentity:
     @settings(deadline=None)
     def test_kernel_engine_matches_symbolic_on_any_generated_instance(self, seed):
         entailment = EntailmentGenerator(seed=seed).case(0).entailment
-        kernel = _saturate(entailment, use_kernel=True, use_index=True)
-        symbolic = _saturate(entailment, use_kernel=False, use_index=False)
+        kernel = _saturate(entailment, use_kernel=True)
+        symbolic = _saturate(entailment, use_kernel=False)
         assert kernel.refuted == symbolic.refuted
         assert kernel.clauses() == symbolic.clauses()
         assert kernel.generated_count == symbolic.generated_count
@@ -211,17 +201,37 @@ class TestKernelDerivationIdentity:
             assert first_kernel.clauses == first_symbolic.clauses
             assert len(first_kernel) == len(first_symbolic)
 
-    def test_adaptive_threshold_is_invisible(self):
+    def test_adaptive_threshold_is_invisible(self, monkeypatch):
         """Index activation point must never change what is derived."""
-        for entailment in _mixed_theory_corpus(25):
-            variants = [
-                _saturate(entailment, True, True, index_threshold=threshold)
-                for threshold in (0, 4, 10 ** 9)
-            ]
-            immediate = variants[0]
-            for engine in variants[1:]:
-                assert engine.clauses() == immediate.clauses()
-                assert engine.generated_count == immediate.generated_count
+        import repro.superposition.kernel as kernel_module
+
+        corpus = _mixed_theory_corpus(25)
+        variants = []
+        for threshold in THRESHOLDS:
+            monkeypatch.setattr(kernel_module, "ADAPTIVE_INDEX_THRESHOLD", threshold)
+            variants.append([_saturate(entailment, True) for entailment in corpus])
+        immediate = variants[0]
+        for engines in variants[1:]:
+            for engine, reference in zip(engines, immediate):
+                assert engine.clauses() == reference.clauses()
+                assert engine.generated_count == reference.generated_count
+
+    def test_index_threshold_is_behaviour_invisible(self, monkeypatch):
+        """Any activation point, same verdicts and counters from the prover."""
+        import repro.superposition.kernel as kernel_module
+
+        corpus = _mixed_theory_corpus(20)
+        default = Prover(ProverConfig().for_benchmarking())
+        expected = [default.prove(entailment) for entailment in corpus]
+        for threshold in THRESHOLDS:
+            monkeypatch.setattr(kernel_module, "ADAPTIVE_INDEX_THRESHOLD", threshold)
+            for entailment, theirs in zip(corpus, expected):
+                ours = default.prove(entailment)
+                assert ours.is_valid == theirs.is_valid
+                assert (
+                    ours.statistics.generated_clauses
+                    == theirs.statistics.generated_clauses
+                )
 
     def test_prover_verdicts_and_counters_match_reference(self):
         fast = Prover(ProverConfig().for_benchmarking())
@@ -274,96 +284,6 @@ class TestEncoderRebuild:
 
 
 # ---------------------------------------------------------------------------
-# Unit-rewrite simplification
-# ---------------------------------------------------------------------------
-
-
-class TestUnitRewrite:
-    def test_requires_the_kernel(self):
-        order = default_order([make_const("a")])
-        with pytest.raises(ValueError):
-            SaturationEngine(order, use_kernel=False, use_unit_rewrite=True)
-
-    def test_absorbed_units_demodulate_downwards(self):
-        """A unit equality rewrites later clauses to the smaller constant."""
-        a, b, c = make_const("a"), make_const("b"), make_const("c")
-        order = default_order([a, b, c])
-        engine = SaturationEngine(order, use_unit_rewrite=True)
-        engine.add_clauses([Clause.pure(delta=[intern_atom(b, c)])])
-        engine.saturate()
-        engine.add_clauses(
-            [Clause.pure(gamma=[intern_atom(a, c)], delta=[intern_atom(c, NIL)])]
-        )
-        result = engine.saturate()
-        # c (larger) collapses into b (smaller): the demodulated form of the
-        # new clause mentions b where c stood.
-        demodulated = Clause.pure(
-            gamma=[intern_atom(a, b)], delta=[intern_atom(b, NIL)]
-        )
-        assert demodulated in result.clauses
-        assert not result.refuted
-
-    def test_unit_contradiction_refutes(self):
-        a, b = make_const("a"), make_const("b")
-        order = default_order([a, b])
-        engine = SaturationEngine(order, use_unit_rewrite=True)
-        engine.add_clauses(
-            [
-                Clause.pure(delta=[intern_atom(a, b)]),
-                Clause.pure(gamma=[intern_atom(a, b)]),
-            ]
-        )
-        assert engine.saturate().refuted
-
-    def test_verdicts_match_reference_on_corpus(self):
-        """The headline pin: demodulation never flips a verdict.
-
-        Counterexample verification stays on, so a model corrupted by a bad
-        rewrite would also surface as a verification error here.
-        """
-        unit = Prover(ProverConfig(record_proof=False).with_unit_rewrite())
-        reference = Prover(ProverConfig(record_proof=False).reference())
-        corpus = _mixed_theory_corpus(80)
-        corpus.extend(random_unsat_batch(UnsatParameters.paper(11), 8, seed=11))
-        for entailment in corpus:
-            ours = unit.prove(entailment)
-            theirs = reference.prove(entailment)
-            assert ours.is_valid == theirs.is_valid, entailment
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2 ** 30),
-        strategy=st.sampled_from(sorted(STRATEGIES)),
-    )
-    @settings(deadline=None)
-    def test_verdicts_match_on_any_generated_instance(self, seed, strategy):
-        entailment = (
-            EntailmentGenerator(seed=seed, profile=GeneratorProfile.only(strategy))
-            .case(0)
-            .entailment
-        )
-        unit = Prover(ProverConfig(record_proof=False).with_unit_rewrite())
-        reference = Prover(ProverConfig(record_proof=False).reference())
-        assert unit.prove(entailment).is_valid == reference.prove(entailment).is_valid
-
-    def test_demodulation_actually_reduces_search(self):
-        """On the Table 1 distribution the flag changes (reduces) the
-        generated-clause count somewhere — i.e. the layer really fires."""
-        batch = random_unsat_batch(UnsatParameters.paper(14), 12, seed=1014)
-        unit = Prover(ProverConfig().for_benchmarking().with_unit_rewrite())
-        plain = Prover(ProverConfig().for_benchmarking())
-        unit_generated = []
-        plain_generated = []
-        for entailment in batch:
-            ours = unit.prove(entailment)
-            theirs = plain.prove(entailment)
-            assert ours.is_valid == theirs.is_valid
-            unit_generated.append(ours.statistics.generated_clauses)
-            plain_generated.append(theirs.statistics.generated_clauses)
-        assert unit_generated != plain_generated
-        assert sum(unit_generated) <= sum(plain_generated)
-
-
-# ---------------------------------------------------------------------------
 # Statistics plumbing
 # ---------------------------------------------------------------------------
 
@@ -402,19 +322,17 @@ class TestKnownChangeFeed:
         known clause set at every saturation pause."""
         for entailment in _mixed_theory_corpus(15):
             order = default_order(entailment.constants())
-            core = IntSaturationCore(
-                order, max_clauses=200000, use_index=True,
-                use_unit_rewrite=False, index_threshold=24,
-            )
+            core = IntSaturationCore(order, max_clauses=200000)
+            decode = core.encoder.decode
             core.add_clauses(cnf(entailment).pure_clauses)
             mirrored = set()
             while True:
                 result = core.saturate(max_given=7)
-                added, removed = core.drain_known_changes()
-                for clause, _key in removed:
-                    mirrored.discard(clause)
-                for clause, _key in added:
-                    mirrored.add(clause)
+                added, removed = core.drain_known_changes_raw()
+                for clause in removed:
+                    mirrored.discard(decode(clause))
+                for clause in added:
+                    mirrored.add(decode(clause))
                 expected = {
                     clause
                     for clause in core.known_pure_clauses()
@@ -427,18 +345,14 @@ class TestKnownChangeFeed:
     def test_dense_keys_in_feed_are_sorted_consistently(self):
         entailment = _mixed_theory_corpus(1)[0]
         order = default_order(entailment.constants())
-        core = IntSaturationCore(
-            order, max_clauses=200000, use_index=True,
-            use_unit_rewrite=False, index_threshold=24,
-        )
+        core = IntSaturationCore(order, max_clauses=200000)
+        decode = core.encoder.decode
         core.add_clauses(cnf(entailment).pure_clauses)
         core.saturate()
-        added, _removed = core.drain_known_changes()
-        by_dense = sorted(added, key=lambda pair: pair[1])
-        by_symbolic = sorted(added, key=lambda pair: order.clause_sort_key(pair[0]))
-        assert [clause for clause, _ in by_dense] == [
-            clause for clause, _ in by_symbolic
-        ]
+        added, _removed = core.drain_known_changes_raw()
+        by_dense = sorted(added, key=core.encoder.sort_key_of)
+        by_symbolic = sorted(added, key=lambda clause: order.clause_sort_key(decode(clause)))
+        assert by_dense == by_symbolic
 
     @given(
         seed=st.integers(min_value=0, max_value=2 ** 30),
@@ -451,10 +365,7 @@ class TestKnownChangeFeed:
         consistent with) ``TermOrder.clause_sort_key``."""
         entailment = EntailmentGenerator(seed=seed).case(0).entailment
         order = default_order(entailment.constants())
-        core = IntSaturationCore(
-            order, max_clauses=200000, use_index=True,
-            use_unit_rewrite=False, index_threshold=24,
-        )
+        core = IntSaturationCore(order, max_clauses=200000)
         core.add_clauses(cnf(entailment).pure_clauses)
         core.saturate()
         # Capital names sort below every generated constant, so interning
@@ -468,26 +379,22 @@ class TestKnownChangeFeed:
             ]
         )
         core.saturate()
-        added, removed = core.drain_known_changes()
-        clause_sort_key = order.clause_sort_key
+        added, removed = core.drain_known_changes_raw()
+        sort_key_of = core.encoder.sort_key_of
+        decode = core.encoder.decode
         for feed in (added, removed):
-            by_dense = sorted(feed, key=lambda pair: pair[1])
-            by_symbolic = sorted(feed, key=lambda pair: clause_sort_key(pair[0]))
-            assert [clause for clause, _ in by_dense] == [
-                clause for clause, _ in by_symbolic
-            ]
+            by_dense = sorted(feed, key=sort_key_of)
+            by_symbolic = sorted(feed, key=lambda clause: order.clause_sort_key(decode(clause)))
+            assert by_dense == by_symbolic
             # Injectivity: distinct clauses never share a dense key.
-            keys = [key for _, key in feed]
+            keys = [sort_key_of(clause) for clause in feed]
             assert len(set(keys)) == len(keys)
 
     def test_rebuild_after_drain_is_refused(self):
         """Dense keys already handed out must never be silently invalidated."""
         a, b = make_const("a"), make_const("b")
         order = default_order([a, b])
-        core = IntSaturationCore(
-            order, max_clauses=200000, use_index=True,
-            use_unit_rewrite=False, index_threshold=24,
-        )
+        core = IntSaturationCore(order, max_clauses=200000)
         core.add_clauses([Clause.pure(delta=[intern_atom(a, b)])])
         core.saturate()
         core.drain_known_changes_raw()
@@ -496,192 +403,64 @@ class TestKnownChangeFeed:
 
 
 # ---------------------------------------------------------------------------
-# Bitset subsumption
-# ---------------------------------------------------------------------------
-
-
-class TestBitsetSubsumption:
-    def test_requires_the_kernel(self):
-        order = default_order([make_const("a")])
-        with pytest.raises(ValueError):
-            SaturationEngine(order, use_kernel=False, use_bitset=True)
-
-    def test_bitset_queries_match_brute_force(self):
-        """Forward and backward subsumption answers (and victim order)
-        against set-containment brute force, across adds and removes."""
-        import random
-
-        from repro.logic.clauses import Clause as SymClause
-
-        rng = random.Random(13)
-        pool = list(variable_pool(6)) + [NIL]
-        clauses = []
-        seen = set()
-        while len(clauses) < 140:
-            gamma = frozenset(
-                intern_atom(rng.choice(pool), rng.choice(pool))
-                for _ in range(rng.randint(0, 2))
-            )
-            delta = frozenset(
-                intern_atom(rng.choice(pool), rng.choice(pool))
-                for _ in range(rng.randint(0, 3))
-            )
-            clause = SymClause(gamma, delta, None, True)
-            if not clause.is_empty and not clause.is_tautology and clause not in seen:
-                seen.add(clause)
-                clauses.append(clause)
-        order = default_order([c for clause in clauses for c in clause.constants()])
-        core = IntSaturationCore(
-            order, max_clauses=200000, use_index=True,
-            use_unit_rewrite=False, index_threshold=24, use_bitset=True,
-        )
-        index = core._new_index()
-        active = []
-        for clause in clauses:
-            encoded = core._encoder.encode_clause(clause)
-            # The brute-force oracle works off the raw code tuples: the
-            # memoised frozensets are the implementation under test.
-            eg, ed = frozenset(encoded.gamma), frozenset(encoded.delta)
-            expected_forward = any(
-                frozenset(a.gamma) <= eg and frozenset(a.delta) <= ed
-                for a in active
-            )
-            assert index.is_subsumed(encoded) == expected_forward
-            expected_backward = [
-                a
-                for a in active
-                if eg <= frozenset(a.gamma) and ed <= frozenset(a.delta)
-            ]
-            victims = index.subsumed_by(encoded)
-            assert set(victims) == set(expected_backward)
-            for victim in victims:
-                index.remove(victim)
-                active.remove(victim)
-            index.add(encoded)
-            active.append(encoded)
-        assert len(index) == len(active)
-
-    def test_bulk_path_agrees_with_scalar_path(self, monkeypatch):
-        """Forcing the numpy bulk kernel onto every bucket must not change a
-        single derivation (prefix matrix + tail scan + removal invalidation
-        all get exercised)."""
-        import repro.superposition.kernel as kernel_module
-
-        if kernel_module._np is None:
-            pytest.skip("numpy not available")
-        corpus = _mixed_theory_corpus(20)
-        corpus.extend(random_unsat_batch(UnsatParameters.paper(10), 4, seed=10))
-        baseline = [
-            _saturate(entailment, True, True, use_bitset=True) for entailment in corpus
-        ]
-        monkeypatch.setattr(kernel_module, "_BULK_THRESHOLD", 2)
-        forced = [
-            _saturate(entailment, True, True, use_bitset=True) for entailment in corpus
-        ]
-        for fast, slow in zip(forced, baseline):
-            assert fast.refuted == slow.refuted
-            assert fast.clauses() == slow.clauses()
-            assert fast.generated_count == slow.generated_count
-
-    def test_prover_with_bitset_matches_default(self):
-        bitset = Prover(ProverConfig().for_benchmarking().with_bitset())
-        default = Prover(ProverConfig().for_benchmarking())
-        corpus = _mixed_theory_corpus(40)
-        corpus.extend(random_unsat_batch(UnsatParameters.paper(11), 6, seed=11))
-        for entailment in corpus:
-            ours = bitset.prove(entailment)
-            theirs = default.prove(entailment)
-            assert ours.is_valid == theirs.is_valid, entailment
-            assert (
-                ours.statistics.generated_clauses
-                == theirs.statistics.generated_clauses
-            ), entailment
-
-
-# ---------------------------------------------------------------------------
-# The dense-side model generator
+# The incremental model generator
 # ---------------------------------------------------------------------------
 
 
 class TestDenseModelGenerator:
-    def _paired(self, entailment, dense):
-        from repro.superposition.model import IncrementalModelGenerator
-
-        order = default_order(entailment.constants())
-        engine = SaturationEngine(order, use_kernel=True)
-        engine.add_clauses(cnf(entailment).pure_clauses)
-        generator = IncrementalModelGenerator(order, verify=True, dense=dense)
-        return engine, generator
-
     def test_models_match_symbolic_round_for_round(self):
-        """Byte-identical edges and generating clauses at every saturation
-        pause, including rounds where the set shrinks (subsumption)."""
+        """At every saturation pause, ``model_for_engine`` on a kernel engine
+        builds the model ``generate_model`` builds from scratch over the
+        engine's known clauses: the same relation and the same generating
+        clause records, field for field, including rounds where the set
+        shrinks (subsumption) and rounds where no model exists yet."""
         for entailment in _mixed_theory_corpus(25):
-            dense_engine, dense_gen = self._paired(entailment, dense=True)
-            sym_engine, sym_gen = self._paired(entailment, dense=False)
+            order = default_order(entailment.constants())
+            engine = SaturationEngine(order, use_kernel=True)
+            engine.add_clauses(cnf(entailment).pure_clauses)
+            generator = IncrementalModelGenerator(order)
             while True:
-                dense_result = dense_engine.saturate(max_given=5)
-                sym_result = sym_engine.saturate(max_given=5)
-                assert dense_result.refuted == sym_result.refuted
-                if dense_result.refuted:
+                result = engine.saturate(max_given=5)
+                if result.refuted:
                     break
-                dense_model = dense_gen.model_for_engine(dense_engine)
-                sym_model = sym_gen.model_for_engine(sym_engine)
-                assert dense_model.relation == sym_model.relation
-                assert set(dense_model.generators) == set(sym_model.generators)
-                for edge, record in dense_model.generators.items():
-                    other = sym_model.generators[edge]
-                    assert record.clause == other.clause
-                    assert record.equation == other.equation
-                    assert record.leftover_gamma == other.leftover_gamma
-                    assert record.leftover_delta == other.leftover_delta
-                if dense_result.complete:
+                try:
+                    expected = generate_model(engine.known_pure_clauses(), order)
+                except ModelGenerationError:
+                    expected = None
+                try:
+                    model = generator.model_for_engine(engine)
+                except ModelGenerationError:
+                    model = None
+                assert (model is None) == (expected is None)
+                if model is not None:
+                    assert model.relation == expected.relation
+                    assert set(model.generators) == set(expected.generators)
+                    for edge, record in model.generators.items():
+                        other = expected.generators[edge]
+                        assert record.clause == other.clause
+                        assert record.equation == other.equation
+                        assert record.leftover_gamma == other.leftover_gamma
+                        assert record.leftover_delta == other.leftover_delta
+                if result.complete:
                     break
 
-    def test_dense_generator_is_actually_used_by_the_prover(self):
-        from repro.superposition import model as model_module
-
+    def test_dense_generator_is_actually_used_by_the_prover(self, monkeypatch):
         calls = []
-        original = model_module._DenseModelGenerator.model
+        original = IncrementalModelGenerator.model_for_engine
 
-        def spy(self):
+        def spy(self, engine):
             calls.append(self)
-            return original(self)
+            return original(self, engine)
 
-        model_module._DenseModelGenerator.model = spy
-        try:
-            result = Prover(ProverConfig()).prove(_mixed_theory_corpus(1)[0])
-        finally:
-            model_module._DenseModelGenerator.model = original
+        monkeypatch.setattr(IncrementalModelGenerator, "model_for_engine", spy)
+        result = Prover(ProverConfig()).prove(_mixed_theory_corpus(1)[0])
         assert result.verdict is not None
-        assert calls, "the default configuration should route through the dense generator"
-
-    def test_dense_flag_off_keeps_the_decoded_feed(self):
-        from repro.superposition import model as model_module
-
-        calls = []
-        original = model_module._DenseModelGenerator.model
-
-        def spy(self):
-            calls.append(self)
-            return original(self)
-
-        model_module._DenseModelGenerator.model = spy
-        try:
-            Prover(ProverConfig(use_dense_models=False)).prove(_mixed_theory_corpus(1)[0])
-        finally:
-            model_module._DenseModelGenerator.model = original
-        assert not calls
+        assert calls, "the default configuration should route through the generator"
 
     def test_empty_clause_is_rejected(self):
-        from repro.superposition.model import _DenseModelGenerator
-
         a, b = make_const("a"), make_const("b")
         order = default_order([a, b])
-        core = IntSaturationCore(
-            order, max_clauses=200000, use_index=True,
-            use_unit_rewrite=False, index_threshold=24,
-        )
+        core = IntSaturationCore(order, max_clauses=200000)
         core.add_clauses(
             [
                 Clause.pure(delta=[intern_atom(a, b)]),
@@ -689,46 +468,11 @@ class TestDenseModelGenerator:
             ]
         )
         core.saturate()
-        generator = _DenseModelGenerator(core, order, verify=True)
         with pytest.raises(ValueError):
-            generator.model()
+            IncrementalModelGenerator(order).model_for_engine(core)
 
-
-# ---------------------------------------------------------------------------
-# Config threading (index threshold via ProverConfig)
-# ---------------------------------------------------------------------------
-
-
-class TestConfigThreading:
-    def test_index_threshold_reaches_the_engine(self, monkeypatch):
-        import repro.core.prover as prover_module
-
-        captured = {}
-
-        class CapturingEngine(SaturationEngine):
-            def __init__(self, order, **kwargs):
-                captured.update(kwargs)
-                super().__init__(order, **kwargs)
-
-        monkeypatch.setattr(prover_module, "SaturationEngine", CapturingEngine)
-        config = ProverConfig(record_proof=False).with_index_threshold(7).with_bitset()
-        Prover(config).prove(_mixed_theory_corpus(1)[0])
-        assert captured["index_threshold"] == 7
-        assert captured["use_bitset"] is True
-
-    def test_index_threshold_is_behaviour_invisible(self):
-        """Any activation point, same verdicts and counters."""
-        corpus = _mixed_theory_corpus(20)
-        default = Prover(ProverConfig().for_benchmarking())
-        for threshold in (0, 3, 10 ** 9):
-            tuned = Prover(
-                ProverConfig().for_benchmarking().with_index_threshold(threshold)
-            )
-            for entailment in corpus:
-                ours = tuned.prove(entailment)
-                theirs = default.prove(entailment)
-                assert ours.is_valid == theirs.is_valid
-                assert (
-                    ours.statistics.generated_clauses
-                    == theirs.statistics.generated_clauses
-                )
+    def test_the_reference_engine_is_refused(self):
+        order = default_order([make_const("a")])
+        engine = SaturationEngine(order, use_kernel=False)
+        with pytest.raises(ValueError):
+            IncrementalModelGenerator(order).model_for_engine(engine)

@@ -211,8 +211,9 @@ def test_indexed_paths_match_reference_paths(entailment):
 @SLOW
 @given(st.integers(min_value=0, max_value=2 ** 30))
 def test_incremental_model_generator_matches_one_shot(seed):
-    # Feed the same growing clause sets to the incremental generator and to
-    # generate_model; the rewrite relations must coincide at every round.
+    # At every round, the incremental generator on a kernel engine and
+    # generate_model over the engine's known clauses must build the same
+    # model: the same relation and the same generating-clause records.
     from repro.logic.cnf import cnf
     from repro.logic.ordering import default_order
     from repro.superposition.model import (
@@ -226,25 +227,24 @@ def test_incremental_model_generator_matches_one_shot(seed):
     entailment = make_random_entailment(rng, n_vars=4)
     embedding = cnf(entailment)
     order = default_order(entailment.constants())
-    engine = SaturationEngine(order)
+    engine = SaturationEngine(order, use_kernel=True)
     engine.add_clauses(embedding.pure_clauses)
     incremental = IncrementalModelGenerator(order)
     while True:
         result = engine.saturate(max_given=5)
         if result.refuted:
             break
-        clauses = engine.known_pure_clauses()
         try:
-            one_shot = generate_model(clauses, order)
+            one_shot = generate_model(engine.known_pure_clauses(), order)
         except ModelGenerationError:
             one_shot = None
         try:
-            rolling = incremental.model_for(clauses)
+            rolling = incremental.model_for_engine(engine)
         except ModelGenerationError:
             rolling = None
         assert (one_shot is None) == (rolling is None)
         if one_shot is not None and rolling is not None:
             assert one_shot.relation == rolling.relation
-            assert set(one_shot.generators) == set(rolling.generators)
+            assert one_shot.generators == rolling.generators
         if result.complete:
             break

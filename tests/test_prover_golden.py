@@ -42,6 +42,7 @@ import pytest
 import repro.core.prover as prover_module
 from repro.benchgen.cloning import clone_entailment
 from repro.benchgen.random_fold import FoldParameters, random_fold_batch
+from repro.benchgen.random_unsat import UnsatParameters, random_unsat_batch
 from repro.core.config import ProverConfig
 from repro.core.prover import Prover
 from repro.frontend.examples_suite import vcs_by_program
@@ -193,3 +194,23 @@ def test_golden_inputs_fire_every_spatial_rule(theory):
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: record[0])
 def test_golden_trace(record):
     assert trace_record(record[0], INPUTS[record[0]]) == record
+
+
+#: Table 1 rows whose refutations the proof-gap check rebuilds, 40 inputs each.
+GAP_CHECK_ROWS = (12, 14, 16, 18, 20)
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["default", "reference"])
+def test_every_refutation_rebuilds_without_a_gap(reference):
+    """``ProofTrace.build_refutation`` raises on a clause with no recorded
+    derivation or on a cycle; no valid input here may hit one, under either
+    engine."""
+    prover = Prover(ProverConfig().reference() if reference else ProverConfig())
+    inputs = list(INPUTS.values())
+    for variables in GAP_CHECK_ROWS:
+        inputs.extend(
+            random_unsat_batch(UnsatParameters.paper(variables), 40, seed=1000 + variables)
+        )
+    for entailment in inputs:
+        result = prover.prove(entailment)
+        assert result.proof is None or result.proof.is_refutation

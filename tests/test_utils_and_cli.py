@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.core.proof import Proof, ProofStep, ProofTrace
+from repro.core.proof import ProofGapError, ProofStep, ProofTrace
 from repro.logic.atoms import EqAtom
 from repro.logic.clauses import Clause, EMPTY_CLAUSE
 from repro.utils.multiset import Multiset
@@ -94,12 +94,15 @@ class TestProofObjects:
         trace.record(clause, "second", [])
         assert trace.derivation_of(clause).rule == "first"
 
-    def test_missing_premises_become_inputs(self):
+    def test_gaps_and_cycles_raise(self):
         clause = Clause.pure(delta=[EqAtom("a", "b")])
         trace = ProofTrace()
         trace.record(EMPTY_CLAUSE, "rule", [clause])
-        proof = trace.build_refutation()
-        assert proof.steps[0].rule == "cnf"
+        with pytest.raises(ProofGapError):
+            trace.build_refutation()
+        trace.record(clause, "rule", [EMPTY_CLAUSE])
+        with pytest.raises(ProofGapError):
+            trace.build_refutation()
 
     def test_step_rendering(self):
         step = ProofStep(3, EMPTY_CLAUSE, "SR", (1, 2))
