@@ -164,19 +164,20 @@ class TestClauseIndex:
         return clauses
 
     @staticmethod
-    def _indexed(clauses):
-        """An empty index and the dense form of each clause."""
+    def _dense_forms(clauses):
+        """The clauses' term order and the dense form of each clause."""
         order = default_order(
             [c for clause in clauses for c in clause.constants()]
         )
         encoder = DenseEncoder(order)
-        return IntClauseIndex(), {clause: encoder.encode_clause(clause) for clause in clauses}
+        return order, {clause: encoder.encode_clause(clause) for clause in clauses}
 
     def test_subsumption_queries_match_brute_force(self):
         """Forward and backward subsumption, across adds and removes."""
         rng = random.Random(7)
         clauses = self._random_pure_clauses(rng, count=140)
-        index, dense = self._indexed(clauses)
+        _, dense = self._dense_forms(clauses)
+        index = IntClauseIndex()
         active = []
         for clause in clauses:
             expected_forward = any(a.subsumes(clause) for a in active)
@@ -198,10 +199,9 @@ class TestClauseIndex:
 
         rng = random.Random(11)
         clauses = self._random_pure_clauses(rng, count=80)
-        index, dense = self._indexed(clauses)
-        calculus = SuperpositionCalculus(default_order(
-            [c for clause in clauses for c in clause.constants()]
-        ))
+        order, dense = self._dense_forms(clauses)
+        calculus = SuperpositionCalculus(order)
+        index = IntClauseIndex()
         active = []
         for given in clauses:
             partners = index.inference_partners(dense[given])
@@ -224,7 +224,8 @@ class TestClauseIndex:
     def test_remove_is_complete(self):
         rng = random.Random(3)
         clauses = self._random_pure_clauses(rng, count=40)
-        index, dense = self._indexed(clauses)
+        _, dense = self._dense_forms(clauses)
+        index = IntClauseIndex()
         for clause in clauses:
             index.add(dense[clause])
         for clause in clauses:
