@@ -249,6 +249,66 @@ class TestKernelDerivationIdentity:
 
 
 # ---------------------------------------------------------------------------
+# Subsumption queries: feature-bitmask scans and the clause index
+# ---------------------------------------------------------------------------
+
+
+class TestBitsetSubsumption:
+    """Before the clause index goes live the core answers subsumption with
+    linear scans pruned by per-side literal feature bitmasks; afterwards it
+    asks the index.  Both must answer exactly what set containment does."""
+
+    def test_bitset_queries_match_brute_force(self):
+        """Forward and backward subsumption answers (and the surviving
+        active order) against set-containment brute force, across adds and
+        removes, with the index live from the start, early, and never."""
+        import random
+
+        rng = random.Random(13)
+        pool = list(variable_pool(6)) + [NIL]
+        clauses = []
+        seen = set()
+        while len(clauses) < 140:
+            gamma = frozenset(
+                intern_atom(rng.choice(pool), rng.choice(pool))
+                for _ in range(rng.randint(0, 2))
+            )
+            delta = frozenset(
+                intern_atom(rng.choice(pool), rng.choice(pool))
+                for _ in range(rng.randint(0, 3))
+            )
+            clause = Clause(gamma, delta, None, True)
+            if not clause.is_empty and not clause.is_tautology and clause not in seen:
+                seen.add(clause)
+                clauses.append(clause)
+        order = default_order([c for clause in clauses for c in clause.constants()])
+        for threshold in THRESHOLDS:
+            core = IntSaturationCore(order, max_clauses=200000)
+            core._index_threshold = threshold
+            active = []
+            for clause in clauses:
+                encoded = core.encoder.encode_clause(clause)
+                # The brute-force oracle works off the raw code tuples: the
+                # memoised frozensets and bitmasks are under test.
+                eg, ed = frozenset(encoded.gamma), frozenset(encoded.delta)
+                expected_forward = any(
+                    frozenset(a.gamma) <= eg and frozenset(a.delta) <= ed
+                    for a in active
+                )
+                assert core._is_subsumed_by_active(encoded) == expected_forward
+                active = [
+                    a
+                    for a in active
+                    if not (eg <= frozenset(a.gamma) and ed <= frozenset(a.delta))
+                ]
+                core._remove_subsumed_active(encoded)
+                assert core._active == active
+                core._register_active(encoded)
+                active.append(encoded)
+            assert core._index_live == (threshold < len(clauses))
+
+
+# ---------------------------------------------------------------------------
 # Late constant registration (the encoder rebuild path)
 # ---------------------------------------------------------------------------
 
