@@ -31,7 +31,11 @@ from repro.logic.cnf import cnf
 from repro.logic.formula import Entailment
 from repro.logic.ordering import TermOrder, default_order
 from repro.semantics.counterexample import Counterexample, build_counterexample
-from repro.spatial.normalization import normalize_clause, normalize_clause_fast
+from repro.spatial.normalization import (
+    normalize_clause,
+    normalize_clause_fast,
+    release_normalization,
+)
 from repro.spatial.unfolding import UnfoldingOutcome, unfold
 from repro.spatial.wellformedness import well_formedness_consequences
 from repro.superposition.model import (
@@ -133,26 +137,17 @@ class Prover:
         proof: Optional[Proof] = None
         counterexample: Optional[Counterexample] = None
 
-        # Without a trace the normalisation steps are only *counted*, so the
-        # one-pass fast path applies; the stepwise path exists to materialise
-        # the per-step records a proof tree needs.  The well-formedness
-        # consequences are a pure function of the normalised clause and the
-        # inner loop can reproduce the same normal form — memoise them.
-        consequence_cache: dict = {}
-
+        # Both sides are normalised against every round's model through the
+        # same clause objects, so the normaliser carries its state from one
+        # round to the next.  Without a trace the steps are only *counted*;
+        # with one, ``normalize_clause`` replays the same round's moves into
+        # the per-step records a proof tree needs.
         def normalized(side: Clause, model: EqualityModel):
             if trace is None:
                 return normalize_clause_fast(side, model)
             result, steps = normalize_clause(side, model)
             self._trace_normalization(trace, steps)
             return result, len(steps)
-
-        def consequences_of(positive: Clause):
-            hit = consequence_cache.get(positive)
-            if hit is None:
-                hit = tuple(well_formedness_consequences(positive))
-                consequence_cache[positive] = hit
-            return hit
 
         for _ in range(self.config.max_iterations):
             statistics.iterations += 1
@@ -172,7 +167,7 @@ class Prover:
                     break
                 positive, step_count = normalized(embedding.positive_spatial, model)
                 statistics.normalization_steps += step_count
-                consequences = consequences_of(positive)
+                consequences = well_formedness_consequences(positive)
                 fresh = [
                     consequence
                     for consequence in consequences
@@ -261,6 +256,10 @@ class Prover:
                 )
             )
 
+        # The normalisers' state lasts one prove(): a proof keeps the clauses,
+        # not the state behind them.
+        release_normalization(embedding.positive_spatial)
+        release_normalization(embedding.negative_spatial)
         statistics.elapsed_seconds = time.perf_counter() - start
         assert verdict is not None
         return ProofResult(

@@ -24,7 +24,8 @@ equality atoms and are represented at the literal/clause level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.logic.terms import Const, make_const
@@ -135,10 +136,27 @@ class SpatialAtom:
         """The address of the atom (the paper calls ``x`` the address of ``f(x, y)``)."""
         return self.source
 
-    @property
-    def is_trivial(self) -> bool:
-        """True for atoms satisfied exactly by the empty heap (empty segments)."""
-        return False
+    #: True for atoms satisfied exactly by the empty heap (empty segments);
+    #: the segment kinds set it at construction.
+    is_trivial: bool = False
+
+    #: Deterministic structural key used to canonically order formulas, set
+    #: at construction: the address name first, so that the atoms at one
+    #: address sit side by side in a formula, then the other argument names
+    #: and the kind.  Distinct atoms have distinct keys.
+    sort_key: Tuple[str, ...]
+
+    # The sort key and the triviality flag are plain attributes, computed
+    # once: the normaliser and the formula constructor read them for every
+    # atom they touch, and the hash below is the key's.  Each atom class
+    # re-binds ``__hash__`` so that the dataclass decorator keeps it.
+    def __hash__(self) -> int:
+        return hash(self.sort_key)
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Rebuild through the constructor, so that the derived attributes
+        # exist whichever version wrote the pickle.
+        self.__init__(*(state[field.name] for field in fields(self)))  # type: ignore[arg-type, misc]
 
     def argument_roles(self) -> Tuple[Tuple[str, Const], ...]:
         """The atom's arguments in declaration order, each with its role name.
@@ -147,11 +165,6 @@ class SpatialAtom:
         (:mod:`repro.logic.canonical`) and generic traversals; they must be
         stable across releases for any atom kind that can be cached.
         """
-        raise NotImplementedError
-
-    @property
-    def sort_key(self) -> Tuple[str, ...]:
-        """Deterministic structural key used to canonically order formulas."""
         raise NotImplementedError
 
     def constants(self) -> FrozenSet[Const]:
@@ -179,21 +192,16 @@ class PointsTo(SpatialAtom):
     target: Const
     kind = "next"
     theory = "sll"
+    __hash__ = SpatialAtom.__hash__
 
     def __init__(self, source: "Const | str", target: "Const | str") -> None:
-        object.__setattr__(self, "source", make_const(source))
-        object.__setattr__(self, "target", make_const(target))
+        source, target = make_const(source), make_const(target)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "sort_key", (source.name, target.name, self.kind))
 
     def argument_roles(self) -> Tuple[Tuple[str, Const], ...]:
         return (("src", self.source), ("tgt", self.target))
-
-    @property
-    def sort_key(self) -> Tuple[str, ...]:
-        key = self.__dict__.get("_sort_key")
-        if key is None:
-            key = (self.source.name, self.target.name, self.kind)
-            object.__setattr__(self, "_sort_key", key)
-        return key
 
     def constants(self) -> FrozenSet[Const]:
         return frozenset((self.source, self.target))
@@ -227,25 +235,17 @@ class ListSegment(SpatialAtom):
     target: Const
     kind = "lseg"
     theory = "sll"
+    __hash__ = SpatialAtom.__hash__
 
     def __init__(self, source: "Const | str", target: "Const | str") -> None:
-        object.__setattr__(self, "source", make_const(source))
-        object.__setattr__(self, "target", make_const(target))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.source == self.target
+        source, target = make_const(source), make_const(target)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "sort_key", (source.name, target.name, self.kind))
+        object.__setattr__(self, "is_trivial", source == target)
 
     def argument_roles(self) -> Tuple[Tuple[str, Const], ...]:
         return (("src", self.source), ("tgt", self.target))
-
-    @property
-    def sort_key(self) -> Tuple[str, ...]:
-        key = self.__dict__.get("_sort_key")
-        if key is None:
-            key = (self.source.name, self.target.name, self.kind)
-            object.__setattr__(self, "_sort_key", key)
-        return key
 
     def constants(self) -> FrozenSet[Const]:
         return frozenset((self.source, self.target))
@@ -277,24 +277,19 @@ class DllCell(SpatialAtom):
     prev: Const
     kind = "cell"
     theory = "dll"
+    __hash__ = SpatialAtom.__hash__
 
     def __init__(
         self, source: "Const | str", target: "Const | str", prev: "Const | str"
     ) -> None:
-        object.__setattr__(self, "source", make_const(source))
-        object.__setattr__(self, "target", make_const(target))
-        object.__setattr__(self, "prev", make_const(prev))
+        source, target, prev = make_const(source), make_const(target), make_const(prev)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "prev", prev)
+        object.__setattr__(self, "sort_key", (source.name, target.name, self.kind, prev.name))
 
     def argument_roles(self) -> Tuple[Tuple[str, Const], ...]:
         return (("src", self.source), ("tgt", self.target), ("prv", self.prev))
-
-    @property
-    def sort_key(self) -> Tuple[str, ...]:
-        key = self.__dict__.get("_sort_key")
-        if key is None:
-            key = (self.source.name, self.target.name, self.kind, self.prev.name)
-            object.__setattr__(self, "_sort_key", key)
-        return key
 
     def substitute(self, mapping: Dict[Const, Const]) -> "DllCell":
         source = mapping.get(self.source, self.source)
@@ -338,6 +333,7 @@ class DllSegment(SpatialAtom):
     back: Const  # py: the last cell of the segment
     kind = "dlseg"
     theory = "dll"
+    __hash__ = SpatialAtom.__hash__
 
     def __init__(
         self,
@@ -346,15 +342,17 @@ class DllSegment(SpatialAtom):
         target: "Const | str",
         back: "Const | str",
     ) -> None:
-        object.__setattr__(self, "source", make_const(source))
-        object.__setattr__(self, "prev", make_const(prev))
-        object.__setattr__(self, "target", make_const(target))
-        object.__setattr__(self, "back", make_const(back))
-
-    @property
-    def is_trivial(self) -> bool:
-        """True for ``dlseg(x, p, x, p)``: satisfied exactly by the empty heap."""
-        return self.source == self.target and self.prev == self.back
+        source, prev = make_const(source), make_const(prev)
+        target, back = make_const(target), make_const(back)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "prev", prev)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "back", back)
+        object.__setattr__(
+            self, "sort_key", (source.name, target.name, self.kind, prev.name, back.name)
+        )
+        # dlseg(x, p, x, p) is satisfied exactly by the empty heap.
+        object.__setattr__(self, "is_trivial", source == target and prev == back)
 
     def argument_roles(self) -> Tuple[Tuple[str, Const], ...]:
         return (
@@ -363,20 +361,6 @@ class DllSegment(SpatialAtom):
             ("tgt", self.target),
             ("pback", self.back),
         )
-
-    @property
-    def sort_key(self) -> Tuple[str, ...]:
-        key = self.__dict__.get("_sort_key")
-        if key is None:
-            key = (
-                self.source.name,
-                self.target.name,
-                self.kind,
-                self.prev.name,
-                self.back.name,
-            )
-            object.__setattr__(self, "_sort_key", key)
-        return key
 
     def substitute(self, mapping: Dict[Const, Const]) -> "DllSegment":
         source = mapping.get(self.source, self.source)
@@ -401,8 +385,14 @@ class DllSegment(SpatialAtom):
         )
 
 
-def _atom_sort_key(atom: SpatialAtom) -> Tuple[str, ...]:
-    return atom.sort_key
+#: The canonical order of a formula's atoms.
+_atom_sort_key = attrgetter("sort_key")
+
+
+#: A spatial formula's hash is the sum of its atoms' hashes modulo 2**61:
+#: non-negative and small enough that ``hash()`` returns it unchanged, so a
+#: sum kept up to date atom by atom equals the hash of the whole.
+FORMULA_HASH_MASK = (1 << 61) - 1
 
 
 class SpatialFormula:
@@ -414,9 +404,14 @@ class SpatialFormula:
     multiset rather than a set.  The empty formula is ``emp``.
 
     Instances are immutable and hashable; all "mutators" return new formulas.
+    The hash is a multiset hash, the sum of the atoms' hashes (modulo
+    :data:`FORMULA_HASH_MASK`), computed once.  The incremental normaliser
+    (:mod:`repro.spatial.normalization`) builds a formula per round and keeps
+    that sum up to date from the atoms that moved (:meth:`from_sorted`),
+    instead of rehashing every atom.
     """
 
-    __slots__ = ("_atoms", "_constants")
+    __slots__ = ("_atoms", "_constants", "_hash")
 
     def __init__(self, atoms: Iterable[SpatialAtom] = ()):  # noqa: D107
         atom_list = list(atoms)
@@ -425,6 +420,34 @@ class SpatialFormula:
                 raise TypeError("expected a spatial atom, got {!r}".format(atom))
         self._atoms: Tuple[SpatialAtom, ...] = tuple(sorted(atom_list, key=_atom_sort_key))
         self._constants: Optional[FrozenSet[Const]] = None
+        self._hash: Optional[int] = None
+
+    @classmethod
+    def from_sorted(
+        cls, atoms: Tuple[SpatialAtom, ...], hash_value: Optional[int] = None
+    ) -> "SpatialFormula":
+        """A formula over atoms already in canonical (``sort_key``) order.
+
+        No re-sort and no type check: the caller vouches for both, and for
+        ``hash_value`` being the sum of the atoms' hashes masked with
+        :data:`FORMULA_HASH_MASK` when it is given.
+        """
+        formula = cls.__new__(cls)
+        formula._atoms = atoms
+        formula._constants = None
+        formula._hash = hash_value
+        return formula
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the cached hash derives from the
+        # process's string hashes and must not travel with the atoms.
+        return SpatialFormula, (self._atoms,)
+
+    def __setstate__(self, state) -> None:
+        # Pickles written before ``__reduce__`` existed carry slot state.
+        self._atoms = state[1]["_atoms"]
+        self._constants = None
+        self._hash = None
 
     # -- basic protocol ----------------------------------------------------
     @property
@@ -452,7 +475,10 @@ class SpatialFormula:
         return self._atoms == other._atoms
 
     def __hash__(self) -> int:
-        return hash(self._atoms)
+        value = self._hash
+        if value is None:
+            value = self._hash = sum(map(hash, self._atoms)) & FORMULA_HASH_MASK
+        return value
 
     def __str__(self) -> str:
         if not self._atoms:

@@ -229,6 +229,14 @@ class Clause:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The normaliser's cross-round state (``_normalizer``, see
+        # :mod:`repro.spatial.normalization`) belongs to one ``prove()`` call
+        # and does not travel with a pickled clause.
+        state = dict(self.__dict__)
+        state.pop("_normalizer", None)
+        return state
+
     # -- presentation ---------------------------------------------------------
     def __str__(self) -> str:
         from repro.logic.printer import format_clause

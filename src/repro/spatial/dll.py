@@ -51,11 +51,6 @@ from repro.spatial.unfolding import (
     resolve_spatial,
     unclaimed_cells_mismatch,
 )
-from repro.spatial.wellformedness import (
-    WellFormednessConsequence,
-    colliding_anchors,
-    consequence_emitter,
-)
 
 
 def _back_map(sigma: SpatialFormula) -> Dict[Const, DllSegment]:
@@ -119,90 +114,79 @@ class DoublyLinkedTheory(SpatialTheory):
         return isinstance(atom, DllSegment)
 
     # -- well-formedness ----------------------------------------------------
-    def well_formedness_consequences(self, clause: Clause) -> List[WellFormednessConsequence]:
-        """The W1-W5 analogues plus the back-anchor rules D1-D4.
+    # The W1-W5 analogues plus the back-anchor rules D1-D4:
+    #
+    # * W1 ``cell(nil, n, p)``: derive ``Gamma -> Delta``.
+    # * W2 ``dlseg(nil, px, y, py)`` (non-trivial, ``nil != y``): the segment
+    #   must be empty; derive ``Gamma -> y = nil, Delta``.
+    # * D1 ``dlseg(x, px, x, py)`` with ``px != py``: only the empty segment
+    #   fits; derive ``Gamma -> px = py, Delta``.
+    # * D2 ``dlseg(x, px, y, nil)`` (``x != y``): a non-empty segment's last
+    #   cell cannot be ``nil``; derive ``Gamma -> x = y, Delta``.
+    # * D3 ``dlseg(x, px, y, y)`` (``x != y``): the last cell is owned but the
+    #   end is not; derive ``Gamma -> x = y, Delta``.
+    # * W3/W4/W5/D4 two allocation anchors coincide: every atom that cannot
+    #   be empty there contributes a contradiction, every segment its
+    #   emptiness equation to ``Delta`` (W3: cell/cell, W4: cell/segment, W5:
+    #   segment/segment, all on addresses, mirroring the singly-linked names;
+    #   D4: any collision involving a back anchor).
+    def allocation_anchors(self, atom: SpatialAtom) -> Tuple[Const, ...]:
+        """The head, plus the back cell of a two-cell segment (index 1).
 
-        * **W1** ``cell(nil, n, p)``: derive ``Gamma -> Delta``.
-        * **W2** ``dlseg(nil, px, y, py)`` (non-trivial, ``nil != y``): the
-          segment must be empty; derive ``Gamma -> y = nil, Delta``.
-        * **D1** ``dlseg(x, px, x, py)`` with ``px != py``: only the empty
-          segment fits; derive ``Gamma -> px = py, Delta``.
-        * **D2** ``dlseg(x, px, y, nil)`` (``x != y``): a non-empty segment's
-          last cell cannot be ``nil``; derive ``Gamma -> x = y, Delta``.
-        * **D3** ``dlseg(x, px, y, y)`` (``x != y``): the last cell is owned
-          but the end is not; derive ``Gamma -> x = y, Delta``.
-        * **W3/W4/W5/D4** two allocation anchors coincide: every atom that
-          cannot be empty there contributes a contradiction, every segment
-          contributes its emptiness equation to ``Delta``.  Anchors are the
-          address of every atom plus the back cell of every two-cell segment
-          (W3: cell/cell, W4: cell/segment, W5: segment/segment — all on
-          addresses, mirroring the singly-linked names; D4: any collision
-          involving a back anchor).
+        A trivial segment, or one whose ends coincide, is forced empty and
+        allocates nothing.
         """
-        sigma = clause.spatial
-        assert sigma is not None
-
-        consequences: List[WellFormednessConsequence] = []
-        emit = consequence_emitter(clause, consequences)
-
-        atoms = list(sigma)
-
-        # Per-atom rules: nil anchors and degenerate argument patterns.
-        for atom in atoms:
-            if isinstance(atom, DllCell):
-                if atom.address.is_nil:
-                    emit("W1", (), (atom,))
-                continue
-            assert isinstance(atom, DllSegment)
-            if atom.is_trivial:
-                continue
-            if atom.source == atom.target:
-                # Non-trivial with equal ends: prev != back, so only the empty
-                # segment fits and it forces the prev/back equation.
-                emit("D1", (EqAtom(atom.prev, atom.back),), (atom,))
-                continue
-            emptiness = EqAtom(atom.source, atom.target)
-            if atom.address.is_nil:
-                emit("W2", (emptiness,), (atom,))
-            if atom.back.is_nil:
-                emit("D2", (emptiness,), (atom,))
-            if atom.back == atom.target:
-                emit("D3", (emptiness,), (atom,))
-
-        # Pairwise rules: two allocation anchors naming the same location.
-        # An atom's anchors are its head (index 0) and, for a two-cell
-        # segment, its back cell (index 1).
-        def anchors(atom: SpatialAtom) -> Tuple[Const, ...]:
-            if isinstance(atom, DllCell):
-                return (atom.source,)
-            assert isinstance(atom, DllSegment)
-            if atom.is_trivial or atom.source == atom.target:
-                return ()  # forced empty: allocates nothing
-            if atom.back != atom.source:
-                return (atom.source, atom.back)
+        if isinstance(atom, DllCell):
             return (atom.source,)
+        assert isinstance(atom, DllSegment)
+        if atom.source == atom.target:
+            return ()
+        if atom.back != atom.source:
+            return (atom.source, atom.back)
+        return (atom.source,)
 
-        def emptiness(atom: SpatialAtom) -> Optional[EqAtom]:
-            """The equation that lets the atom give its cells up, if any."""
-            return EqAtom(atom.source, atom.target) if isinstance(atom, DllSegment) else None
+    def atom_consequences(self, atom: SpatialAtom) -> Tuple[Tuple[str, Tuple[EqAtom, ...]], ...]:
+        if isinstance(atom, DllCell):
+            return (("W1", ()),) if atom.source.is_nil else ()
+        assert isinstance(atom, DllSegment)
+        if atom.is_trivial:
+            return ()
+        if atom.source == atom.target:
+            # Non-trivial with equal ends: prev != back, so only the empty
+            # segment fits and it forces the prev/back equation.
+            return (("D1", (EqAtom(atom.prev, atom.back),)),)
+        emptiness = (EqAtom(atom.source, atom.target),)
+        rules = []
+        if atom.source.is_nil:
+            rules.append(("W2", emptiness))
+        if atom.back.is_nil:
+            rules.append(("D2", emptiness))
+        if atom.back == atom.target:
+            rules.append(("D3", emptiness))
+        return tuple(rules)
 
-        for i, j, ki, kj in colliding_anchors([anchors(atom) for atom in atoms]):
-            escape_i, escape_j = emptiness(atoms[i]), emptiness(atoms[j])
-            if ki == 0 and kj == 0:
-                if escape_i is None and escape_j is None:
-                    rule = "W3"
-                elif escape_i is None or escape_j is None:
-                    rule = "W4"
-                else:
-                    rule = "W5"
-            else:
-                rule = "D4"
-            extra = tuple(
-                dict.fromkeys(escape for escape in (escape_i, escape_j) if escape is not None)
-            )
-            emit(rule, extra, (atoms[i], atoms[j]))
-
-        return consequences
+    def pair_consequence(
+        self, first: SpatialAtom, second: SpatialAtom, k_first: int, k_second: int
+    ) -> Tuple[str, Tuple[EqAtom, ...], Tuple[SpatialAtom, ...]]:
+        # A segment gives its cells up through its emptiness equation.
+        escape_first = (
+            EqAtom(first.source, first.target) if isinstance(first, DllSegment) else None
+        )
+        escape_second = (
+            EqAtom(second.source, second.target) if isinstance(second, DllSegment) else None
+        )
+        if k_first or k_second:
+            rule = "D4"
+        elif escape_first is None and escape_second is None:
+            rule = "W3"
+        elif escape_first is None or escape_second is None:
+            rule = "W4"
+        else:
+            rule = "W5"
+        extra = tuple(
+            dict.fromkeys(escape for escape in (escape_first, escape_second) if escape is not None)
+        )
+        return rule, extra, (first, second)
 
     # -- unfolding ----------------------------------------------------------
     def unfold(self, positive: Clause, negative: Clause) -> UnfoldingOutcome:

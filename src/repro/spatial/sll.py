@@ -34,11 +34,6 @@ from repro.spatial.unfolding import (
     resolve_spatial,
     unclaimed_cells_mismatch,
 )
-from repro.spatial.wellformedness import (
-    WellFormednessConsequence,
-    colliding_anchors,
-    consequence_emitter,
-)
 
 
 class SinglyLinkedTheory(SpatialTheory):
@@ -69,46 +64,35 @@ class SinglyLinkedTheory(SpatialTheory):
         return isinstance(atom, ListSegment)
 
     # -- well-formedness (W1-W5, Figure 1) ---------------------------------
-    def well_formedness_consequences(self, clause: Clause) -> List[WellFormednessConsequence]:
-        sigma = clause.spatial
-        assert sigma is not None
-
-        consequences: List[WellFormednessConsequence] = []
-        emit = consequence_emitter(clause, consequences)
-
-        atoms = list(sigma)
-
+    # Every atom's one anchor is its address (the default); see
+    # :mod:`repro.spatial.wellformedness` for how the rules are paired.
+    def atom_consequences(self, atom: SpatialAtom) -> Tuple[Tuple[str, Tuple[EqAtom, ...]], ...]:
         # W1 / W2: nil used as an address.
-        for atom in atoms:
-            if not atom.address.is_nil:
-                continue
-            if isinstance(atom, PointsTo):
-                emit("W1", (), (atom,))
-            elif isinstance(atom, ListSegment) and not atom.is_trivial:
-                emit("W2", (EqAtom(atom.target, NIL),), (atom,))
+        if not atom.source.is_nil:
+            return ()
+        if isinstance(atom, PointsTo):
+            return (("W1", ()),)
+        if atom.is_trivial:
+            return ()
+        return (("W2", (EqAtom(atom.target, NIL),)),)
 
+    def pair_consequence(
+        self, first: SpatialAtom, second: SpatialAtom, k_first: int, k_second: int
+    ) -> Tuple[str, Tuple[EqAtom, ...], Tuple[SpatialAtom, ...]]:
         # W3 / W4 / W5: two atoms sharing the same address.
-        for i, j, _, _ in colliding_anchors([(atom.address,) for atom in atoms]):
-            first, second = atoms[i], atoms[j]
-            first_is_next = isinstance(first, PointsTo)
-            second_is_next = isinstance(second, PointsTo)
-            if first_is_next and second_is_next:
-                emit("W3", (), (first, second))
-            elif first_is_next and not second_is_next:
-                emit("W4", (EqAtom(second.source, second.target),), (first, second))
-            elif not first_is_next and second_is_next:
-                emit("W4", (EqAtom(first.source, first.target),), (second, first))
-            else:
-                emit(
-                    "W5",
-                    (
-                        EqAtom(first.source, first.target),
-                        EqAtom(second.source, second.target),
-                    ),
-                    (first, second),
-                )
-
-        return consequences
+        first_is_next = isinstance(first, PointsTo)
+        second_is_next = isinstance(second, PointsTo)
+        if first_is_next and second_is_next:
+            return "W3", (), (first, second)
+        if first_is_next:
+            return "W4", (EqAtom(second.source, second.target),), (first, second)
+        if second_is_next:
+            return "W4", (EqAtom(first.source, first.target),), (second, first)
+        return (
+            "W5",
+            (EqAtom(first.source, first.target), EqAtom(second.source, second.target)),
+            (first, second),
+        )
 
     # -- unfolding (U1-U5 and SR, Figure 1 / Lemma 4.4) --------------------
     def unfold(self, positive: Clause, negative: Clause) -> UnfoldingOutcome:

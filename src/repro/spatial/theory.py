@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.logic.atoms import SpatialAtom, SpatialFormula
+from repro.logic.atoms import EqAtom, SpatialAtom, SpatialFormula
 from repro.logic.terms import Const
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
     from repro.logic.clauses import Clause
     from repro.spatial.unfolding import UnfoldingOutcome
-    from repro.spatial.wellformedness import WellFormednessConsequence
 
 __all__ = [
     "PredicateSignature",
@@ -131,22 +130,47 @@ class SpatialTheory:
         return not self.is_segment(atom)
 
     # -- saturation-side hooks ---------------------------------------------
-    def well_formedness_consequences(self, clause: "Clause") -> List["WellFormednessConsequence"]:
-        """All pure clauses derivable from a positive spatial clause.
+    #
+    # The well-formedness rules are stated atom by atom and pair by pair;
+    # :mod:`repro.spatial.wellformedness` files the anchors, pairs the atoms
+    # that collide and builds the pure conclusions (``Gamma -> Delta`` plus
+    # the rule's extra equalities).  The consequences must be sound axioms of
+    # the theory: shapes no heap can realise, with the emptiness equations of
+    # the involved segments added to ``Delta``.
+    def allocation_anchors(self, atom: SpatialAtom) -> Tuple[Const, ...]:
+        """The locations ``atom`` allocates in every heap satisfying it.
 
-        The consequences must be sound axioms of the theory: shapes no heap
-        can realise yield ``Gamma -> Delta`` style pure clauses, with the
-        emptiness equations of the involved segments added to ``Delta``.
-        Pairwise conflicts are found with
-        :func:`~repro.spatial.wellformedness.colliding_anchors`.
+        The address comes first (anchor index 0).  Two anchors of different
+        atoms at one non-nil location make the atoms collide
+        (:meth:`pair_consequence`).  The default is the address alone.
+        """
+        return (atom.source,)  # the address
+
+    def atom_consequences(self, atom: SpatialAtom) -> Tuple[Tuple[str, Tuple[EqAtom, ...]], ...]:
+        """The rules ``atom`` fires on its own, as ``(rule, extra_delta)`` pairs.
+
+        For example an atom allocating ``nil`` (W1/W2).  The result depends
+        on the atom alone; the pairs are emitted in the order given.
+        """
+        raise NotImplementedError
+
+    def pair_consequence(
+        self, first: SpatialAtom, second: SpatialAtom, k_first: int, k_second: int
+    ) -> Tuple[str, Tuple[EqAtom, ...], Tuple[SpatialAtom, ...]]:
+        """The rule for two atoms whose anchors collide.
+
+        Anchor ``k_first`` of ``first`` and anchor ``k_second`` of ``second``
+        name one location, and ``first`` precedes ``second`` in the formula.
+        Returns ``(rule, extra_delta, offending atoms)``.
         """
         raise NotImplementedError
 
     def unfold(self, positive: "Clause", negative: "Clause") -> "UnfoldingOutcome":
         """Rewrite the negative clause's formula into the positive one.
 
-        Both clauses are normalised (and the positive one is well-formed at
-        the fixpoint of :meth:`well_formedness_consequences`).  The rewrite
+        Both clauses are normalised (and the positive one is well-formed: the
+        well-formedness rules of :meth:`atom_consequences` and
+        :meth:`pair_consequence` no longer fire).  The rewrite
         must require no search — the forced-path property of the fragment —
         and on failure must report one of the failure kinds that
         :meth:`counterexample_candidates` knows how to realise.  The rewrite
