@@ -136,9 +136,9 @@ class SpatialAtom:
         """The address of the atom (the paper calls ``x`` the address of ``f(x, y)``)."""
         return self.source
 
-    #: True for atoms satisfied exactly by the empty heap (empty segments);
-    #: the segment kinds set it at construction.
-    is_trivial: bool = False
+    #: True for atoms satisfied exactly by the empty heap (empty segments).
+    #: Set at construction by the segment kinds, a class constant for cells.
+    is_trivial: bool
 
     #: Deterministic structural key used to canonically order formulas, set
     #: at construction: the address name first, so that the atoms at one
@@ -153,10 +153,14 @@ class SpatialAtom:
     def __hash__(self) -> int:
         return hash(self.sort_key)
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Rebuild through the constructor, so that the derived attributes
-        # exist whichever version wrote the pickle.
-        self.__init__(*(state[field.name] for field in fields(self)))  # type: ignore[arg-type, misc]
+    def __getattr__(self, name: str):
+        # Only reached for a missing attribute: an atom unpickled from a
+        # version that computed its key lazily is rebuilt once through the
+        # constructor.
+        if name not in ("sort_key", "is_trivial") or "source" not in self.__dict__:
+            raise AttributeError(name)
+        self.__init__(*(self.__dict__[field.name] for field in fields(self)))  # type: ignore[arg-type, misc]
+        return self.__dict__[name]
 
     def argument_roles(self) -> Tuple[Tuple[str, Const], ...]:
         """The atom's arguments in declaration order, each with its role name.
@@ -192,6 +196,7 @@ class PointsTo(SpatialAtom):
     target: Const
     kind = "next"
     theory = "sll"
+    is_trivial = False
     __hash__ = SpatialAtom.__hash__
 
     def __init__(self, source: "Const | str", target: "Const | str") -> None:
@@ -277,6 +282,7 @@ class DllCell(SpatialAtom):
     prev: Const
     kind = "cell"
     theory = "dll"
+    is_trivial = False
     __hash__ = SpatialAtom.__hash__
 
     def __init__(
@@ -438,14 +444,15 @@ class SpatialFormula:
         formula._hash = hash_value
         return formula
 
-    def __reduce__(self):
-        # Rebuild through the constructor: the cached hash derives from the
-        # process's string hashes and must not travel with the atoms.
-        return SpatialFormula, (self._atoms,)
+    def __getstate__(self) -> Tuple[SpatialAtom, ...]:
+        # The cached hash derives from the process's string hashes and must
+        # not travel with the atoms.
+        return self._atoms
 
     def __setstate__(self, state) -> None:
-        # Pickles written before ``__reduce__`` existed carry slot state.
-        self._atoms = state[1]["_atoms"]
+        # Pickles written before ``__getstate__`` existed carry
+        # ``(None, slots)``; an atom is never ``None``.
+        self._atoms = state[1]["_atoms"] if state and state[0] is None else state
         self._constants = None
         self._hash = None
 
