@@ -119,9 +119,12 @@ class _Normalizer:
         self.atoms = [atom for atom in sigma if not atom.is_trivial]
         self.keys: Optional[List[Tuple[str, ...]]] = None
         self.trivial = len(sigma) - len(self.atoms)
-        #: The sum of the hashes of ``atoms`` (the formula's hash, cached on
-        #: the formula since ``cnf`` hashed its clause), kept up to date.
-        self.hash_sum: Optional[int] = None if self.trivial else hash(sigma)
+        #: The sum of the hashes of ``atoms``, kept up to date: without
+        #: trivial atoms, the formula's own hash (cached once ``cnf`` hashed
+        #: the clause).
+        self.hash_sum = (
+            sum(map(hash, self.atoms)) & FORMULA_HASH_MASK if self.trivial else hash(sigma)
+        )
         #: The formula over ``atoms``, while it is current.
         self.sigma: Optional[SpatialFormula] = sigma if not self.trivial else None
         self.index: Optional[AnchorIndex] = None
@@ -152,20 +155,9 @@ class _Normalizer:
                 gamma, delta = source.gamma, source.delta
             sigma = self.sigma
             if sigma is None:
-                sigma = self.sigma = SpatialFormula.from_sorted(
-                    tuple(self.atoms), self._hash_sum()
-                )
-            previous = self.output
-            if (
-                previous is not None
-                and previous.spatial is sigma
-                and previous.gamma == gamma
-                and previous.delta == delta
-            ):
-                output = previous
-            else:
-                output = Clause(gamma, delta, sigma, source.spatial_on_right)
-                object.__setattr__(output, "_normalizer", self)
+                sigma = self.sigma = SpatialFormula.from_sorted(tuple(self.atoms), self.hash_sum)
+            output = Clause(gamma, delta, sigma, source.spatial_on_right)
+            object.__setattr__(output, "_normalizer", self)
         self.output = output
         return output, len(moves) + self.trivial
 
@@ -216,8 +208,7 @@ class _Normalizer:
             position = bisect_left(keys, old.sort_key)
             del keys[position]
             del atoms[position]
-            if self.hash_sum is not None:
-                self.hash_sum = (self.hash_sum - hash(old)) & FORMULA_HASH_MASK
+            self.hash_sum = (self.hash_sum - hash(old)) & FORMULA_HASH_MASK
             if index is not None:
                 index.remove(old)
         if new.is_trivial:
@@ -227,15 +218,9 @@ class _Normalizer:
             position = bisect_left(keys, key)
             keys.insert(position, key)
             atoms.insert(position, new)
-            if self.hash_sum is not None:
-                self.hash_sum = (self.hash_sum + hash(new)) & FORMULA_HASH_MASK
+            self.hash_sum = (self.hash_sum + hash(new)) & FORMULA_HASH_MASK
             if index is not None:
                 index.add(new)
-
-    def _hash_sum(self) -> int:
-        if self.hash_sum is None:
-            self.hash_sum = sum(map(hash, self.atoms)) & FORMULA_HASH_MASK
-        return self.hash_sum
 
     @staticmethod
     def _replay(model: EqualityModel, reducible) -> List[Move]:
