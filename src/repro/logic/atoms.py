@@ -159,7 +159,8 @@ class SpatialAtom:
         # constructor.
         if name not in ("sort_key", "is_trivial") or "source" not in self.__dict__:
             raise AttributeError(name)
-        self.__init__(*(self.__dict__[field.name] for field in fields(self)))  # type: ignore[arg-type, misc]
+        arguments = [self.__dict__[field.name] for field in fields(self)]  # type: ignore[arg-type]
+        self.__init__(*arguments)  # type: ignore
         return self.__dict__[name]
 
     def argument_roles(self) -> Tuple[Tuple[str, Const], ...]:

@@ -17,8 +17,10 @@ computed from scratch:
 
 The inputs are the golden-trace inputs, under both engines (the default
 engine's models are maintained incrementally, the reference engine's are
-rebuilt from scratch every round), and a hypothesis sample of generated
-``sll`` and ``dll`` entailments.
+rebuilt from scratch every round) and with proofs, a hypothesis sample of
+generated ``sll`` and ``dll`` entailments, and drawn model sequences whose
+rewrite chains pass through constants outside the formula.  One more test
+checks that the state does not outlive its ``prove()``.
 """
 
 from __future__ import annotations
@@ -112,8 +114,12 @@ def reference_normalize(
         trivial = next((atom for atom in sigma if atom.is_trivial), None)
         if trivial is None:
             break
-        updated = Clause(current.gamma, current.delta, sigma.remove(trivial), current.spatial_on_right)
-        steps.append(NormalizationStep(rule=removal_rule, before=current, after=updated, removed=trivial))
+        updated = Clause(
+            current.gamma, current.delta, sigma.remove(trivial), current.spatial_on_right
+        )
+        steps.append(
+            NormalizationStep(rule=removal_rule, before=current, after=updated, removed=trivial)
+        )
         current = updated
     return current, steps
 

@@ -2,12 +2,13 @@
 
 Both theories find their pairwise conflicts (W3-W5, and D4 for ``dll``) by
 filing allocation anchors in buckets per location
-(:func:`repro.spatial.wellformedness.colliding_anchors`).  The scan that
-preceded it compared every pair of atoms; it is kept here, verbatim in
-behaviour, as the oracle: on formulas built to collide — several atoms per
-address, exact duplicates, ``nil`` addresses, trivial segments, ``dll`` back
-cells landing on heads — the consequence lists must agree element by
-element and in order.
+(:class:`repro.spatial.wellformedness.AnchorIndex`; the same pairing over
+plain positions is :func:`~repro.spatial.wellformedness.colliding_anchors`).
+The scan that preceded it compared every pair of atoms; it is kept here,
+verbatim in behaviour, as the oracle: on formulas built to collide —
+several atoms per address, exact duplicates, ``nil`` addresses, trivial
+segments, ``dll`` back cells landing on heads — the consequence lists must
+agree element by element and in order.
 """
 
 from __future__ import annotations
