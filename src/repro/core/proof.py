@@ -11,7 +11,7 @@ a linearised form of the proof tree shown in Figure 4 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.clauses import Clause, EMPTY_CLAUSE
 from repro.logic.printer import format_clause
@@ -100,31 +100,46 @@ class ProofTrace:
         """
         numbering: Dict[Clause, int] = {}
         steps: List[ProofStep] = []
-
-        def visit(clause: Clause, path: Tuple[Clause, ...]) -> int:
-            if clause in numbering:
-                return numbering[clause]
-            if clause in path:
-                raise ProofGapError(
-                    "the recorded derivation of {} depends on itself".format(
-                        format_clause(clause)
-                    )
-                )
-            record = self._by_clause.get(clause)
-            if record is None:
-                raise ProofGapError(
-                    "no recorded derivation of {}".format(format_clause(clause))
-                )
-            premise_indices = tuple(
-                visit(premise, path + (clause,)) for premise in record.premises
-            )
-            index = len(steps) + 1
-            numbering[clause] = index
-            steps.append(ProofStep(index, clause, record.rule, premise_indices, record.note))
-            return index
-
-        visit(root, ())
+        # A post-order walk on an explicit stack, so that a deep refutation
+        # cannot overflow Python's.  Each entry is a clause on the path from
+        # the root, its record and an iterator over its premises still to
+        # visit.
+        stack: List[Tuple[Clause, TraceRecord, Iterator[Clause]]] = []
+        on_path: Set[Clause] = set()
+        self._descend(root, stack, on_path)
+        while stack:
+            clause, record, premises = stack[-1]
+            for premise in premises:
+                if premise not in numbering:
+                    self._descend(premise, stack, on_path)
+                    break
+            else:
+                stack.pop()
+                on_path.remove(clause)
+                index = len(steps) + 1
+                numbering[clause] = index
+                premise_indices = tuple(numbering[premise] for premise in record.premises)
+                steps.append(ProofStep(index, clause, record.rule, premise_indices, record.note))
         return Proof(tuple(steps))
+
+    def _descend(
+        self,
+        clause: Clause,
+        stack: List[Tuple[Clause, TraceRecord, Iterator[Clause]]],
+        on_path: Set[Clause],
+    ) -> None:
+        """Push ``clause`` on the walk's stack, or raise the gap it reveals."""
+        if clause in on_path:
+            raise ProofGapError(
+                "the recorded derivation of {} depends on itself".format(
+                    format_clause(clause)
+                )
+            )
+        record = self._by_clause.get(clause)
+        if record is None:
+            raise ProofGapError("no recorded derivation of {}".format(format_clause(clause)))
+        on_path.add(clause)
+        stack.append((clause, record, iter(record.premises)))
 
 
 @dataclass(frozen=True)

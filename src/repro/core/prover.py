@@ -20,6 +20,7 @@ pure clause over the finite vocabulary of the entailment.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Optional
 
@@ -104,7 +105,25 @@ class Prover:
         Returns a :class:`~repro.core.result.ProofResult` carrying either a
         proof (for valid entailments, when proof recording is enabled) or a
         verified stack/heap counterexample (for invalid ones).
+
+        The cyclic garbage collector is paused for the call.  Everything a
+        call builds is acyclic, so reference counting frees it when the call
+        returns or raises, and a collection started in here would only
+        traverse the long-lived heap to find nothing.  The collector is
+        re-enabled only if it was enabled on entry: never against a caller
+        that disabled it, and overlapping calls in threads can at worst
+        re-enable it early.
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._decide(entailment)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _decide(self, entailment: Entailment) -> ProofResult:
+        """The body of :meth:`prove`: Figure 3's loop."""
         start = time.perf_counter()
         statistics = ProverStatistics()
         deadline = (

@@ -59,7 +59,7 @@ import itertools
 import time
 from bisect import bisect_left
 from collections.abc import Mapping as _MappingBase
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.logic.atoms import EqAtom
 from repro.logic.clauses import Clause
@@ -196,19 +196,18 @@ class DenseEncoder:
     ----------
     order:
         The problem's term ordering; its ranked constants seed the id space.
-    on_rebuild:
-        Called whenever a late-registered constant forces a renumbering (see
-        :meth:`register_constants`).  The owning engine uses it to refresh
-        id-keyed state (index buckets).
+
+    ``rebuilds`` counts the renumberings a late-registered constant has
+    forced (see :meth:`register_constants`).  The owning engine compares it
+    after every :meth:`encode_clause` and refreshes its id-keyed state (index
+    buckets) when it moved.  The encoder holds no reference back to its
+    owner, so the per-problem state stays acyclic and is freed by reference
+    counting as soon as the engine is dropped.
     """
 
-    def __init__(
-        self,
-        order: TermOrder,
-        on_rebuild: Optional[Callable[[], None]] = None,
-    ):
+    def __init__(self, order: TermOrder):
         self._order = order
-        self._on_rebuild = on_rebuild
+        #: Renumberings so far; the owning engine polls it.
         self.rebuilds = 0
         self._consts: List[Const] = []
         self._const_id: Dict[Const, int] = {}
@@ -321,8 +320,6 @@ class DenseEncoder:
             self._fill(clause, gamma, delta)
             self._clauses[(gamma, delta)] = clause
         self.rebuilds += 1
-        if self._on_rebuild is not None:
-            self._on_rebuild()
 
     # -- atoms ---------------------------------------------------------------
     def atom_code(self, atom: EqAtom) -> int:
@@ -801,7 +798,9 @@ class IntSaturationCore:
     def __init__(self, order: TermOrder, max_clauses: int):
         self.order = order
         self.max_clauses = max_clauses
-        self._encoder = DenseEncoder(order, on_rebuild=self._handle_rebuild)
+        self._encoder = DenseEncoder(order)
+        #: ``self._encoder.rebuilds`` as of the last :meth:`_handle_rebuild`.
+        self._rebuilds_seen = 0
         self._index = IntClauseIndex()
         self._index_live = False
         self._index_threshold = ADAPTIVE_INDEX_THRESHOLD
@@ -851,7 +850,7 @@ class IntSaturationCore:
         for clause in clauses:
             if not clause.is_pure:
                 raise ValueError("the saturation engine only accepts pure clauses")
-            encoded = self._encoder.encode_clause(clause)
+            encoded = self._encode(clause)
             simplified = self._simplify(encoded)
             if simplified is encoded:
                 self._enqueue(encoded, None, ())
@@ -960,7 +959,7 @@ class IntSaturationCore:
         return tuple(decode(clause) for clause in self._active)
 
     def is_known(self, clause: Clause) -> bool:
-        encoded = self._simplify(self._encoder.encode_clause(clause))
+        encoded = self._simplify(self._encode(clause))
         if encoded.is_tautology:
             return True
         if encoded.seen:
@@ -1247,8 +1246,21 @@ class IntSaturationCore:
             premises=tuple(decode(premise) for premise in premises),
         )
 
+    def _encode(self, clause: Clause) -> IntClause:
+        """Encode ``clause``; refresh id-keyed state if that renumbered ids.
+
+        ``encode_clause`` is the only caller of ``register_constants``, so
+        checking the encoder's ``rebuilds`` counter here sees every
+        renumbering.
+        """
+        encoded = self._encoder.encode_clause(clause)
+        if self._encoder.rebuilds != self._rebuilds_seen:
+            self._handle_rebuild()
+        return encoded
+
     def _handle_rebuild(self) -> None:
         """Refresh id-keyed engine state after the encoder renumbered ids."""
+        self._rebuilds_seen = self._encoder.rebuilds
         if self._change_feed_consumed:
             # Dense sort keys already handed to a change-feed consumer would
             # silently stop agreeing with post-renumbering keys.  The prover

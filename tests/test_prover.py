@@ -97,6 +97,17 @@ def test_large_but_easy_entailment(prover):
     assert prover.prove(parse_entailment(text)).is_valid
 
 
+def test_deep_refutation_rebuilds_its_proof(prover):
+    """A 300-cell chain: the refutation is some 900 derivations deep, more
+    than a recursive rebuild of the proof fits on Python's stack."""
+    cells = 300
+    chain = " * ".join("x{} |-> x{}".format(i, i + 1) for i in range(cells))
+    text = "{} * x{} |-> nil |- lseg(x0, nil)".format(chain, cells)
+    result = prover.prove(parse_entailment(text))
+    assert result.is_valid and result.proof.is_refutation
+    assert format_clause(result.proof.conclusion) == "[]"
+
+
 def test_proof_uses_input_rule_for_cnf_clauses(prover):
     entailment = parse_entailment("x != x /\\ emp |- emp")
     result = prover.prove(entailment)
