@@ -426,8 +426,10 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
                         print(result.proof.format())
                     if arguments.counterexample and result.counterexample is not None:
                         print("    counterexample: {}".format(result.counterexample))
-                for _ in results:  # run the generator to completion: it settles
-                    pass  # the batch statistics (counter deltas) in its finally
+                for _ in results:  # run the generator to completion: it folds
+                    pass  # the batch statistics in its finally
+                # The same object: closing the pool banks its retry and
+                # respawn counters into it.
                 stats = batch.statistics
         finally:
             if arguments.store is not None:

@@ -8,8 +8,10 @@ single-query prover into a batch engine with three orthogonal levers:
 * **parallelism** — a :class:`~repro.core.supervisor.SupervisedPool` of
   worker processes; each worker holds one warm
   :class:`~repro.core.prover.Prover` (and its interning tables, ordering
-  caches and so on) for its whole lifetime, and tasks are dispatched
-  per-task with explicit liveness tracking.  Results stream back as they
+  caches and so on) for its whole lifetime.  Every batch submits its tasks
+  one at a time to the pool's reactor thread, so any number of threads may
+  run batches on one instance at once: their tasks interleave in the pool,
+  ranked by each batch's ``priority``.  Results stream back as they
   complete (:meth:`BatchProver.iter_results`) or in input order
   (:meth:`BatchProver.iter_ordered` / :meth:`BatchProver.prove_all`);
 * **supervision** — a crashed, hung or OOM-killed worker is detected and
@@ -62,7 +64,7 @@ from repro.core.config import ProverConfig
 from repro.core.faults import FaultPlan, InjectedCrash, apply_fault_before_task, make_unpicklable
 from repro.core.prover import Prover, ProverTimeout
 from repro.core.result import ProofResult, ProverStatistics
-from repro.core.supervisor import FailureInfo, SupervisedPool
+from repro.core.supervisor import FailureInfo, SupervisedPool, backoff_seconds
 from repro.logic.canonical import CanonicalForm
 from repro.logic.formula import Entailment, lseg, pts
 from repro.logic.terms import make_const
@@ -182,9 +184,9 @@ def _supervised_worker_init(config: ProverConfig, fault_plan: Optional[FaultPlan
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     prover = _warm_prover(config)
 
-    def prove_task(payload: Tuple[int, Entailment, TaskOverrides], _position: int, attempt: int):
+    def prove_task(payload: Tuple[int, Entailment, TaskOverrides], _ticket: int, attempt: int):
         # The payload carries the *batch* index (fault plans target batch
-        # indices); the pool's positional index is ignored.
+        # indices); the pool's ticket is ignored.
         index, entailment, overrides = payload
         spec = plan.should_fire(index, attempt) if plan is not None else None
         if spec is not None:
@@ -326,31 +328,25 @@ class BatchProver:
         :class:`ProofCache` to share across batch provers.
     retries:
         How many times a crashed task is re-dispatched before quarantine
-        (``0`` quarantines on the first crash).  Applies to worker deaths and
-        in-task exceptions, not to timeouts or OOMs, which are deterministic
-        properties of the instance under its budget.
+        (``0`` quarantines on the first crash), each after a capped
+        exponential backoff (:func:`~repro.core.supervisor.backoff_seconds`).
+        Applies to worker deaths and in-task exceptions, not to timeouts or
+        OOMs, which are deterministic properties of the instance under its
+        budget.
     grace_factor:
         The hard watchdog kills a worker holding one task longer than
         ``max_seconds * grace_factor`` — the headroom the cooperative
         deadline gets before the coordinator stops trusting the worker to
         enforce its own budget.  No ``max_seconds`` means no watchdog.
-    backoff_base / backoff_cap:
-        Crash-retry backoff: re-dispatch *n* waits
-        ``min(cap, base * 2**(n-1))`` seconds.
     fault_plan:
         A :class:`~repro.core.faults.FaultPlan` to disturb this batch with
         (chaos testing).  ``None`` reads ``SLP_FAULT_PLAN`` from the
         environment; normal operation has neither.
-    mp_context:
-        A :mod:`multiprocessing` context (or start-method name) to use
-        instead of the default (fork where available).  Mainly for tests.
-    drain_seconds:
-        Budget :meth:`close` gives workers to exit gracefully before
-        escalating to ``terminate``/``kill``.
 
-    The instance is reusable across many batches; the pool stays warm.  Use
-    it as a context manager (or call :meth:`close`) to release the workers;
-    a leaked instance reclaims them from ``__del__`` as a safety net.
+    The instance is reusable across many batches, and thread-safe: batches
+    from several threads share the one warm pool.  Use it as a context
+    manager (or call :meth:`close`) to release the workers; a leaked
+    instance reclaims them from ``__del__`` as a safety net.
     """
 
     def __init__(
@@ -358,14 +354,9 @@ class BatchProver:
         config: Optional[ProverConfig] = None,
         jobs: int = 1,
         cache: Union[bool, ProofCache, None] = True,
-        mp_context=None,
         retries: int = 2,
         grace_factor: float = 2.0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
         fault_plan: Optional[FaultPlan] = None,
-        drain_seconds: float = 5.0,
-        shared_dispatch: bool = False,
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -383,24 +374,12 @@ class BatchProver:
             self.cache = cache
         self.retries = retries
         self.grace_factor = grace_factor
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.drain_seconds = drain_seconds
-        #: Thread-safe dispatch facade: ``True`` lets any number of threads
-        #: call :meth:`iter_results`/:meth:`prove_all` concurrently against
-        #: the one shared pool — tasks from all callers interleave per-task
-        #: in the pool's serve-mode reactor, ranked by ``priority``.  The
-        #: entailment service's dispatcher lanes run this way.
-        self.shared_dispatch = shared_dispatch
         self.statistics = BatchStatistics(jobs=jobs)
         self._stats_lock = threading.Lock()
         self._fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
-        self._mp_context = mp_context
         self._pool_lock = threading.Lock()
         self._pool: Optional[SupervisedPool] = None
         self._pool_unavailable = False
-        self._local_prover: Optional[Prover] = None
-        self._thread_local = threading.local()
         self._closed = False
 
     @property
@@ -419,14 +398,13 @@ class BatchProver:
             pool, self._pool = self._pool, None
             self._closed = True
         if pool is not None:
-            if self.shared_dispatch:
-                # Serve-mode supervision counters live on the pool (they are
-                # shared across lanes, so no lane may delta-fold them); bank
-                # them into the aggregate before the pool goes away.
-                with self._stats_lock:
-                    self.statistics.retried += pool.retried
-                    self.statistics.respawned_workers += pool.respawned_workers
-            pool.close(self.drain_seconds)
+            pool.close()
+            # Retries and respawns are counted by the pool, which every
+            # concurrent batch shares (no batch can claim a delta as its
+            # own); bank them once the reactor has stopped.
+            with self._stats_lock:
+                self.statistics.retried += pool.retried
+                self.statistics.respawned_workers += pool.respawned_workers
 
     def __enter__(self) -> "BatchProver":
         return self
@@ -447,9 +425,9 @@ class BatchProver:
     def _ensure_pool(self) -> Optional[SupervisedPool]:
         """The persistent supervised pool, or ``None`` when unavailable.
 
-        Locked: under shared dispatch any number of lane threads race the
-        first batch here, and two winners would each spawn a full worker set
-        (the loser's pool leaking its processes until interpreter exit).
+        Locked: any number of threads may race the first batch here, and
+        two winners would each spawn a full worker set (the loser's pool
+        leaking its processes until interpreter exit).
         """
         with self._pool_lock:
             self._closed = False
@@ -464,14 +442,8 @@ class BatchProver:
                     init_args=(self.config, self._fault_plan),
                     task_timeout=self._task_timeout,
                     retries=self.retries,
-                    backoff_base=self.backoff_base,
-                    backoff_cap=self.backoff_cap,
-                    mp_context=self._mp_context,
-                    drain_seconds=self.drain_seconds,
                 )
                 pool.start()
-                if self.shared_dispatch:
-                    pool.serve()
             except _POOL_UNAVAILABLE_ERRORS:
                 self._pool_unavailable = True
                 return None
@@ -479,37 +451,19 @@ class BatchProver:
             return pool
 
     def pool_counters(self) -> Dict[str, int]:
-        """Live serve-mode supervision counters not yet folded into ``statistics``.
+        """Live pool supervision counters not yet folded into ``statistics``.
 
-        In shared-dispatch mode retries and respawns are pool-global (no
-        lane can attribute a delta to itself without double counting), so
-        they stay on the pool until :meth:`close` banks them; consumers that
-        report totals add these to ``statistics``.  Zero in solo mode, where
-        :meth:`_execute_supervised` already delta-folds per batch.
+        Retries and respawns in the pool are pool-global (no batch can
+        attribute a delta to itself without double counting), so they stay
+        on the pool until :meth:`close` banks them; consumers that report
+        totals while the pool runs add these to ``statistics``.
         """
         pool = self._pool
-        if self.shared_dispatch and pool is not None:
-            return {"retried": pool.retried, "respawned_workers": pool.respawned_workers}
-        return {"retried": 0, "respawned_workers": 0}
+        if pool is None:
+            return {"retried": 0, "respawned_workers": 0}
+        return {"retried": pool.retried, "respawned_workers": pool.respawned_workers}
 
     # -- in-process execution ---------------------------------------------
-    def _local_prover_for_thread(self) -> Prover:
-        """The warm in-process prover — per-thread under shared dispatch.
-
-        Prover instances are cheap after the module-level interning tables
-        are warm, so giving each dispatcher lane its own keeps the in-process
-        path lock-free without re-warming anything that matters.
-        """
-        if not self.shared_dispatch:
-            if self._local_prover is None:
-                self._local_prover = Prover(self.config)
-            return self._local_prover
-        prover = getattr(self._thread_local, "prover", None)
-        if prover is None:
-            prover = Prover(self.config)
-            self._thread_local.prover = prover
-        return prover
-
     def _prove_local(
         self,
         index: int,
@@ -523,10 +477,10 @@ class BatchProver:
         death and undeliverable results become retryable crashes, a hang
         longer than the watchdog budget becomes the ``timeout`` the watchdog
         would have produced (there is no second process to do the killing).
+        A :class:`Prover` holds only its configuration, so each task builds
+        its own and concurrent callers share nothing.
         """
-        local = self._local_prover_for_thread()
-        effective = _apply_overrides(self.config, overrides)
-        active = local if effective is self.config else Prover(effective)
+        prover = Prover(_apply_overrides(self.config, overrides))
         plan = self._fault_plan
         attempt = 1
         started = time.monotonic()
@@ -545,7 +499,7 @@ class BatchProver:
                         )
                 if spec is not None:
                     apply_fault_before_task(spec, in_process=True)
-                return active.prove(entailment)
+                return prover.prove(entailment)
             except ProverTimeout as timeout:
                 return FailureInfo(
                     kind="timeout",
@@ -564,7 +518,7 @@ class BatchProver:
             except InjectedCrash as crash:
                 if attempt <= self.retries:
                     stats.retried += 1
-                    backoff = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+                    backoff = backoff_seconds(attempt)
                     if backoff > 0.0:
                         time.sleep(backoff)
                     attempt += 1
@@ -612,86 +566,29 @@ class BatchProver:
             stats.injected_faults += sum(
                 1 for index, _ in tasks if self._fault_plan.fault_at(index) is not None
             )
-        if self.jobs > 1:
-            pool = self._ensure_pool()
-            if pool is not None:
-                if self.shared_dispatch:
-                    yield from self._execute_shared(
-                        pool, tasks, overrides, stats, priority
-                    )
-                else:
-                    yield from self._execute_supervised(
-                        pool, tasks, overrides, stats
-                    )
-                return
-        for index, entailment in tasks:
-            yield index, self._mark_injected(
-                index, self._prove_local(index, entailment, overrides, stats)
-            )
-
-    def _execute_shared(
-        self,
-        pool: SupervisedPool,
-        tasks: Sequence[Tuple[int, Entailment]],
-        overrides: TaskOverrides,
-        stats: BatchStatistics,
-        priority: int,
-    ) -> Iterator[Tuple[int, BatchOutcome]]:
-        """Run one batch through the serve-mode reactor (thread-safe).
-
-        Each task is submitted individually with the batch's priority, so
-        tasks from concurrent batches interleave per-task in the pool —
-        a large batch no longer occupies the dispatch head-of-line.  The
-        reactor guarantees exactly one delivery per submission (broken pools
-        and shutdown deliver structured failures), so the collection loop
-        below cannot lose an index; the ``serving`` check is a belt-and-
-        braces escape hatch against a reactor that died to a bug.
-        """
+        pool = self._ensure_pool() if self.jobs > 1 else None
+        if pool is None:
+            for index, entailment in tasks:
+                yield index, self._mark_injected(
+                    index, self._prove_local(index, entailment, overrides, stats)
+                )
+            return
         stats.parallel = True
+        # Fault plans target batch indices, so the payload carries the index
+        # for the worker to unpack.  The reactor delivers every submission
+        # exactly once, and ``collect`` withdraws what is left if this
+        # generator is abandoned.
         done: "queue.SimpleQueue" = queue.SimpleQueue()
-        for index, entailment in tasks:
-            pool.submit(
+        tickets = {
+            index: pool.submit(
                 (index, entailment, overrides),
-                (lambda outcome, _index=index: done.put((_index, outcome))),
-                priority=priority,
+                lambda outcome, key=index: done.put((key, outcome)),
+                priority,
             )
-        delivered = 0
-        expected = len(tasks)
-        while delivered < expected:
-            try:
-                index, outcome = done.get(timeout=1.0)
-            except queue.Empty:
-                if not pool.serving:
-                    detail = "pool reactor is gone"
-                    seen = delivered
-                    for index, _ in tasks[seen:]:
-                        yield index, FailureInfo(kind="crash", detail=detail)
-                        delivered += 1
-                continue
-            delivered += 1
+            for index, entailment in tasks
+        }
+        for index, outcome in pool.collect(done, tickets):
             yield index, self._mark_injected(index, outcome)
-
-    def _execute_supervised(
-        self,
-        pool: SupervisedPool,
-        tasks: Sequence[Tuple[int, Entailment]],
-        overrides: TaskOverrides,
-        stats: BatchStatistics,
-    ) -> Iterator[Tuple[int, BatchOutcome]]:
-        stats.parallel = True
-        # The pool indexes payloads by position; faults are planned against
-        # batch indices.  Dispatch (index, entailment, overrides) triples and
-        # let the worker unpack, so ``should_fire`` sees the batch index.
-        retried_before = pool.retried
-        respawned_before = pool.respawned_workers
-        try:
-            payloads = [(index, entailment, overrides) for index, entailment in tasks]
-            for position, outcome in pool.run(payloads):
-                index = tasks[position][0]
-                yield index, self._mark_injected(index, outcome)
-        finally:
-            stats.retried += pool.retried - retried_before
-            stats.respawned_workers += pool.respawned_workers - respawned_before
 
     def _echo_for_follower(
         self,
@@ -766,9 +663,8 @@ class BatchProver:
         per-request timeouts to its configured ceiling for exactly this
         reason).
 
-        ``priority`` ranks this batch's tasks against other concurrent
-        batches under shared dispatch (higher runs first); solo mode ignores
-        it — there is nothing to rank against.
+        ``priority`` ranks this batch's pooled tasks against those of
+        concurrent batches (higher runs first, FIFO among equals).
 
         Statistics are accumulated batch-locally and folded into
         :attr:`statistics` under a lock when the iteration finishes, so
@@ -790,9 +686,20 @@ class BatchProver:
         # before/after delta over the whole batch would double-count under
         # concurrent lanes).
         stats = BatchStatistics(jobs=self.jobs)
+
+        def settle(index: int, outcome: BatchOutcome) -> None:
+            # Account for a freshly executed outcome; cache it if a verdict.
+            if isinstance(outcome, ProofResult):
+                stats.absorb_proved(outcome)
+                if self.cache is not None and index in canonicals:
+                    self.cache.store(batch[index], outcome, canonicals[index])
+            else:
+                stats.absorb_failure(outcome)
+            stats.count_verdict(outcome)
+
+        canonicals: Dict[int, CanonicalForm] = {}
         try:
             leaders: List[Tuple[int, Entailment]] = []
-            canonicals: Dict[int, CanonicalForm] = {}
             followers: Dict[int, List[int]] = {}  # leader index -> duplicate indices
             leader_of: Dict[tuple, int] = {}  # fingerprint -> leader index
             for index, entailment in enumerate(batch):
@@ -827,13 +734,7 @@ class BatchProver:
 
             orphans: List[Tuple[int, Entailment]] = []
             for index, outcome in self._execute(leaders, overrides, stats, priority):
-                if isinstance(outcome, ProofResult):
-                    stats.absorb_proved(outcome)
-                    if self.cache is not None and index in canonicals:
-                        self.cache.store(batch[index], outcome, canonicals[index])
-                else:
-                    stats.absorb_failure(outcome)
-                stats.count_verdict(outcome)
+                settle(index, outcome)
                 yield index, outcome
                 for duplicate in followers.get(index, ()):
                     if isinstance(outcome, ProofResult):
@@ -863,13 +764,7 @@ class BatchProver:
                         orphans.append((duplicate, batch[duplicate]))
 
             for index, outcome in self._execute(orphans, overrides, stats, priority):
-                if isinstance(outcome, ProofResult):
-                    stats.absorb_proved(outcome)
-                    if self.cache is not None and index in canonicals:
-                        self.cache.store(batch[index], outcome, canonicals[index])
-                else:
-                    stats.absorb_failure(outcome)
-                stats.count_verdict(outcome)
+                settle(index, outcome)
                 yield index, outcome
         finally:
             stats.elapsed_seconds += time.perf_counter() - start

@@ -8,38 +8,48 @@ fatal for a batch prover whose contract is *one structured outcome per task,
 always*.
 
 :class:`SupervisedPool` replaces the chunked pool with per-task dispatch over
-raw ``multiprocessing.Process`` workers and explicit duplex pipes:
+raw ``multiprocessing.Process`` workers and explicit duplex pipes, driven by
+one **reactor** thread that owns every pipe.  Any thread hands it tasks
+(:meth:`SupervisedPool.submit`); pending tasks are ranked by the submitter's
+priority, FIFO among equals, so a one-task priority batch overtakes a large
+one still queued.
 
-* **Liveness** — the coordinator waits on every worker pipe at once
+* **Liveness** — the reactor waits on every worker pipe at once
   (:func:`multiprocessing.connection.wait`); a dead worker surfaces as EOF the
   moment the kernel closes its end, not after a join timeout expires.
 * **Retry** — a task whose worker died is re-dispatched to a respawned worker
-  with capped exponential backoff.  A task that keeps killing workers is
-  *quarantined* after ``retries`` re-dispatches and surfaced as a structured
-  :class:`FailureInfo` instead of poisoning the pool forever.
-* **Hard budgets** — an optional coordinator-side watchdog kills any worker
-  that holds a task longer than ``task_timeout`` (the cooperative deadline
-  times a grace factor, in the batch prover's use).  The kill is surfaced as
-  a ``timeout`` failure; the worker is respawned.
+  with capped exponential backoff (:func:`backoff_seconds`).  A task that
+  keeps killing workers is *quarantined* after ``retries`` re-dispatches and
+  surfaced as a structured :class:`FailureInfo` instead of poisoning the pool
+  forever.
+* **Hard budgets** — an optional watchdog kills any worker that holds a task
+  longer than ``task_timeout`` (the cooperative deadline times a grace
+  factor, in the batch prover's use).  The kill is surfaced as a ``timeout``
+  failure; the worker is respawned.
 * **Liveness acks** — workers ack every task (``("started", task_id)``)
   before running it and report ``("ready", pid)`` after initialising.  A
-  dispatched task that is never acked within ``ack_timeout`` is retried on a
-  respawned worker instead of burning its whole watchdog budget; a worker
-  that never reports ready within ``init_timeout`` is respawned instead of
-  silently shrinking the pool.  Both close the gap left by a worker that is
-  alive but wedged — e.g. a child forked from a multi-threaded coordinator
-  at an unlucky moment — which produces neither a result nor an EOF.
-* **Warm workers** — workers survive across :meth:`run` calls, so per-worker
-  initialisation (warming a prover's caches) is paid once per worker
-  lifetime, exactly like the pool it replaces.
+  dispatched task that is never acked within :data:`ACK_TIMEOUT` is retried
+  on a respawned worker instead of burning its whole watchdog budget; a
+  worker that never reports ready within :data:`INIT_TIMEOUT` is respawned
+  instead of silently shrinking the pool.  Both close the gap left by a
+  worker that is alive but wedged — e.g. a child forked from the
+  multi-threaded coordinator at an unlucky moment (respawns fork from the
+  reactor thread) — which produces neither a result nor an EOF.
+* **Warm workers** — workers survive across batches and callers, so
+  per-worker initialisation (warming a prover's caches) is paid once per
+  worker lifetime, exactly like the pool it replaces.
 
 The pool knows nothing about proving.  ``initializer(*init_args)`` runs once
-per worker process and returns a ``task_fn(payload, index, attempt) ->
+per worker process and returns a ``task_fn(payload, ticket, attempt) ->
 (status, body)`` closure; ``status`` is ``"ok"`` (``body`` is the result) or
 a cooperative failure ``"timeout"``/``"oom"`` (``body`` is a partial-progress
 payload / detail).  Exceptions escaping ``task_fn`` — and replies that cannot
 be pickled back — become retryable errors.  Cooperative timeouts and OOMs
 are *not* retried: under the same budget the same instance exhausts it again.
+
+The timing constants below are module-level rather than constructor
+parameters: no caller tunes them, and a test that needs a shorter budget
+monkeypatches the module.  They are read when used.
 """
 
 from __future__ import annotations
@@ -48,17 +58,16 @@ import heapq
 import itertools
 import multiprocessing
 import os
-import queue as _queue_module
+import queue
 import socket
 import threading
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_on_connections
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["FailureInfo", "SupervisedPool"]
+__all__ = ["FailureInfo", "SupervisedPool", "backoff_seconds"]
 
 #: Statuses a worker's task function may return cooperatively.
 _TASK_STATUSES = ("ok", "timeout", "oom")
@@ -67,6 +76,33 @@ _TASK_STATUSES = ("ok", "timeout", "oom")
 #: itself broken instead of respawning forever (e.g. a memory limit so tight
 #: the interpreter cannot even warm up).
 _INIT_FAILURE_SLACK = 2
+
+#: Crash-retry backoff: re-dispatch of attempt *n* waits
+#: ``min(BACKOFF_CAP, BACKOFF_BASE * 2**(n-1))`` seconds, so a task that kills
+#: workers does not burn respawns in a tight loop.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
+
+#: How long :meth:`SupervisedPool.close` gives workers to exit gracefully
+#: before escalating to ``terminate``/``kill``.
+DRAIN_SECONDS = 5.0
+
+#: A dispatched task must be acked (``("started", ...)``) within this budget;
+#: a worker that never picks the task up is respawned and the attempt
+#: retried, instead of the task burning its whole watchdog budget on a worker
+#: that was never going to run it.
+ACK_TIMEOUT = 5.0
+
+#: A freshly forked worker must report ``("ready", ...)`` within this budget
+#: or it is killed and respawned (``None`` disables).  A child wedged during
+#: initialisation otherwise sits there forever: never ready, never EOF,
+#: starving dispatch.
+INIT_TIMEOUT: Optional[float] = 60.0
+
+
+def backoff_seconds(attempt: int) -> float:
+    """How long re-dispatching after failed attempt ``attempt`` waits."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +118,8 @@ class FailureInfo:
 
     ``"crash"``
         The worker died (or the task raised) and the pool was configured
-        with no retries — a single failure is final.
+        with no retries — a single failure is final.  Also what every
+        outstanding task gets when the pool closes or breaks under it.
     ``"retries_exhausted"``
         The task failed ``retries + 1`` attempts in a row and was
         quarantined.
@@ -141,7 +178,7 @@ def _worker_loop(conn, initializer, init_args) -> None:
     """Body of one worker process.
 
     Protocol (worker's view): send ``("ready", pid)`` once initialised, then
-    loop — receive ``(task_id, index, attempt, payload)`` or the ``None``
+    loop — receive ``(task_id, ticket, attempt, payload)`` or the ``None``
     shutdown sentinel, ack ``("started", task_id)``, run the task, reply
     ``("result", task_id, status, body)``.  Initialisation failure sends
     ``("init_error", detail)`` and exits, so the coordinator can tell a
@@ -166,7 +203,7 @@ def _worker_loop(conn, initializer, init_args) -> None:
             return
         if message is None:
             return
-        task_id, index, attempt, payload = message
+        task_id, ticket, attempt, payload = message
         # Ack before executing: the coordinator can now tell a worker that
         # is *running* a task (hard watchdog applies, no retry) from one that
         # never picked it up at all (dispatch lost to a sick worker — retry
@@ -176,7 +213,7 @@ def _worker_loop(conn, initializer, init_args) -> None:
         except Exception:
             return
         try:
-            status, body = task_fn(payload, index, attempt)
+            status, body = task_fn(payload, ticket, attempt)
             if status not in _TASK_STATUSES:
                 status, body = "error", "task returned unknown status {!r}".format(status)
         except MemoryError:
@@ -210,53 +247,27 @@ def _worker_loop(conn, initializer, init_args) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _PriorityPending:
-    """A deque-shaped view over a priority heap of ``(ticket, attempt)`` pairs.
+def _fork_context():
+    """Prefer ``fork`` (cheap respawns, inherited env), else the default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        return multiprocessing.get_context()
 
-    The solo :meth:`SupervisedPool.run` loop keeps its pending tasks in a
-    plain FIFO deque; the shared serve-mode reactor needs the same structure
-    ordered by *request priority* so that a one-task priority request does
-    not queue behind a 200-task batch.  This adapter speaks just enough of
-    the deque protocol (``append``/``appendleft``/``popleft``/``__len__``/
-    ``__iter__``/``clear``) that the dispatch, retry, and broken-pool helpers
-    work on either unchanged.  Priorities are remembered per ticket, so a
-    crash-retried attempt keeps its original rank (FIFO among equals via a
-    monotonic sequence).
-    """
 
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, int, int]] = []  # (-prio, seq, ticket, attempt)
-        self._seq = itertools.count()
-        self._priorities: Dict[int, int] = {}
+class _Task:
+    """One submission while the reactor holds it."""
 
-    def set_priority(self, ticket: int, priority: int) -> None:
-        self._priorities[ticket] = int(priority)
+    __slots__ = ("payload", "deliver", "priority", "attempt", "elapsed")
 
-    def forget(self, ticket: int) -> None:
-        self._priorities.pop(ticket, None)
-
-    def append(self, entry: Tuple[int, int]) -> None:
-        ticket, attempt = entry
-        priority = self._priorities.get(ticket, 0)
-        heapq.heappush(self._heap, (-priority, next(self._seq), ticket, attempt))
-
-    # A put-back after a failed dispatch re-ranks by priority, which is at
-    # least as good as the deque's literal left-append.
-    appendleft = append
-
-    def popleft(self) -> Tuple[int, int]:
-        _, _, ticket, attempt = heapq.heappop(self._heap)
-        return ticket, attempt
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        for _, _, ticket, attempt in self._heap:
-            yield ticket, attempt
-
-    def clear(self) -> None:
-        self._heap.clear()
+    def __init__(self, payload: Any, deliver: Callable[[Any], None], priority: int):
+        self.payload = payload
+        self.deliver = deliver
+        self.priority = priority
+        #: The attempt in flight (or queued next); 1-based.
+        self.attempt = 1
+        #: Wall clock spent by finished attempts.
+        self.elapsed = 0.0
 
 
 class _Worker:
@@ -268,12 +279,19 @@ class _Worker:
         self.process = process
         self.conn = conn
         self.ready = False
-        #: ``(task_id, index, attempt, started_at)`` while busy, else None.
-        self.assignment: Optional[Tuple[int, int, int, float]] = None
+        #: ``(task_id, ticket, started_at)`` while busy, else None.
+        self.assignment: Optional[Tuple[int, int, float]] = None
         #: Did the worker ack (``("started", task_id)``) the current assignment?
         self.acked = False
         #: When this worker process was forked (init-watchdog reference point).
         self.spawned_at = time.monotonic()
+
+
+def _deliver(deliver: Callable[[Any], None], outcome: Any) -> None:
+    try:
+        deliver(outcome)
+    except Exception:  # a consumer bug must not kill the reactor
+        pass
 
 
 class SupervisedPool:
@@ -293,20 +311,13 @@ class SupervisedPool:
     retries:
         How many times a *crashed* attempt is re-dispatched before the task
         is quarantined.  ``0`` quarantines on the first crash.
-    backoff_base / backoff_cap:
-        Re-dispatch of attempt *n* waits ``min(cap, base * 2**(n-1))``
-        seconds, so a task that kills workers does not burn respawns in a
-        tight loop.
-    mp_context:
-        A multiprocessing context or start-method name; default prefers
-        ``fork`` (cheap respawns, inherited env) and falls back to the
-        platform default.
-    ack_timeout:
-        How long a dispatched task may sit un-acked before the worker is
-        written off as never having picked it up (respawn + retry).
-    init_timeout:
-        How long a freshly spawned worker may take to report ready before
-        it is killed and respawned; ``None`` disables the init watchdog.
+
+    :meth:`start` spawns the workers and the reactor thread; from then on
+    the reactor alone touches the workers and the dispatch state.  Other
+    threads only append to the intake under ``_intake_lock``.  The reactor
+    thread holds the pool, so a started pool must be closed: dropped
+    without :meth:`close`, it keeps its workers until the interpreter
+    exits (:class:`~repro.core.batch.BatchProver` closes its own).
     """
 
     def __init__(
@@ -316,12 +327,6 @@ class SupervisedPool:
         init_args: Sequence[Any] = (),
         task_timeout: Optional[float] = None,
         retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        mp_context: Any = None,
-        drain_seconds: float = 5.0,
-        ack_timeout: float = 5.0,
-        init_timeout: Optional[float] = 60.0,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got {}".format(jobs))
@@ -331,24 +336,11 @@ class SupervisedPool:
         self.initializer = initializer
         self.init_args = tuple(init_args)
         self.task_timeout = task_timeout
-        #: A dispatched task must be acked (``("started", ...)``) within this
-        #: budget; a worker that never picks the task up is respawned and the
-        #: attempt retried, instead of the task burning its whole watchdog
-        #: budget on a worker that was never going to run it.
-        self.ack_timeout = ack_timeout
-        #: A freshly forked worker must report ``("ready", ...)`` within this
-        #: budget or it is killed and respawned (``None`` disables).  A child
-        #: wedged during initialisation — e.g. poisoned by forking a
-        #: multi-threaded parent at the wrong moment — otherwise sits there
-        #: forever: never ready, never EOF, starving dispatch.
-        self.init_timeout = init_timeout
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.drain_seconds = drain_seconds
-        self._context = self._resolve_context(mp_context)
+        self._context = _fork_context()
         self._workers: List[_Worker] = []
         self._task_ids = itertools.count(1)
+        self._tickets = itertools.count(1)
         self._closed = False
         self._broken: Optional[str] = None
         self._init_failures = 0
@@ -356,24 +348,24 @@ class SupervisedPool:
         self.respawned_workers = 0
         #: Attempts re-dispatched after a crash.
         self.retried = 0
-        # Serve-mode (shared dispatch) state: a reactor thread owns the
-        # worker pipes and multiplexes tasks submitted from any thread.
-        self._serve_thread: Optional[threading.Thread] = None
-        self._intake: "_queue_module.SimpleQueue" = _queue_module.SimpleQueue()
+        # The intake: ``(ticket, _Task)`` submissions and ``(ticket, None)``
+        # withdrawals, in arrival order.  Once ``_refusal`` is set (closing,
+        # or the reactor stopped) nothing more is appended; submissions are
+        # answered at once with that detail instead.
+        self._intake_lock = threading.Lock()
+        self._intake: List[Tuple[int, Optional[_Task]]] = []
+        self._refusal: Optional[str] = None
+        self._reactor: Optional[threading.Thread] = None
         self._wakeup_recv: Optional[socket.socket] = None
         self._wakeup_send: Optional[socket.socket] = None
-        self._serve_tickets = itertools.count(1)
-
-    @staticmethod
-    def _resolve_context(mp_context: Any):
-        if mp_context is None:
-            try:
-                return multiprocessing.get_context("fork")
-            except ValueError:
-                return multiprocessing.get_context()
-        if isinstance(mp_context, str):
-            return multiprocessing.get_context(mp_context)
-        return mp_context
+        # Reactor-owned dispatch state: outstanding tasks by ticket, the
+        # ready queue as a heap of ``(-priority, seq, ticket)``, and retries
+        # waiting out their backoff as a heap of ``(not_before, ticket)``.
+        # A withdrawn ticket's heap entries are skipped when they surface.
+        self._tasks: Dict[int, _Task] = {}
+        self._pending: List[Tuple[int, int, int]] = []
+        self._delayed: List[Tuple[float, int]] = []
+        self._sequence = itertools.count()
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -391,11 +383,26 @@ class SupervisedPool:
         return _Worker(process, parent_conn)
 
     def start(self) -> None:
-        """Spawn the workers (idempotent).  May raise ``OSError``."""
+        """Spawn the workers and the reactor thread (idempotent).
+
+        Not thread-safe: callers that share a pool serialise the first
+        start (the batch prover does it under its pool lock).  May raise
+        ``OSError`` when worker processes cannot be created.
+        """
         if self._closed:
             raise RuntimeError("pool is closed")
+        if self._reactor is not None:
+            return
         while len(self._workers) < self.jobs:
             self._workers.append(self._spawn_worker())
+        recv_end, send_end = socket.socketpair()
+        recv_end.setblocking(False)
+        send_end.setblocking(False)
+        self._wakeup_recv, self._wakeup_send = recv_end, send_end
+        self._reactor = threading.Thread(
+            target=self._react, name="slp-pool-reactor", daemon=True
+        )
+        self._reactor.start()
 
     @staticmethod
     def _kill_worker(worker: _Worker) -> None:
@@ -428,38 +435,12 @@ class SupervisedPool:
         worker.acked = False
         worker.spawned_at = replacement.spawned_at
 
-    # -- shared serve mode --------------------------------------------------
+    def _init_failed(self, reason: str) -> None:
+        self._init_failures += 1
+        if self._init_failures > self.jobs + _INIT_FAILURE_SLACK:
+            self._broken = reason
 
-    def serve(self) -> None:
-        """Start the shared-dispatch reactor thread (idempotent, thread-safe).
-
-        In serve mode the pool accepts tasks from *any* thread via
-        :meth:`submit`; one reactor thread owns every worker pipe and
-        multiplexes dispatch, liveness, retries, the hard watchdog and
-        respawns across all submitters.  Pending tasks are ranked by the
-        submitting request's priority (FIFO among equals), which is what
-        lets a one-task priority request overtake a large batch that is
-        still queued.  :meth:`run` must not be used while serving — the two
-        modes share the worker pipes.
-        """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._serve_thread is not None and self._serve_thread.is_alive():
-            return
-        self.start()
-        if self._wakeup_recv is None:
-            recv_end, send_end = socket.socketpair()
-            recv_end.setblocking(False)
-            send_end.setblocking(False)
-            self._wakeup_recv, self._wakeup_send = recv_end, send_end
-        self._serve_thread = threading.Thread(
-            target=self._serve_loop, name="slp-pool-reactor", daemon=True
-        )
-        self._serve_thread.start()
-
-    @property
-    def serving(self) -> bool:
-        return self._serve_thread is not None and self._serve_thread.is_alive()
+    # -- submission ---------------------------------------------------------
 
     def submit(
         self,
@@ -467,18 +448,69 @@ class SupervisedPool:
         deliver: Callable[[Any], None],
         priority: int = 0,
     ) -> int:
-        """Enqueue one task for the serving reactor (thread-safe).
+        """Enqueue one task (thread-safe); return its ticket.
 
-        ``deliver(outcome)`` is invoked exactly once, on the reactor thread,
-        with the task function's body or a :class:`FailureInfo` — the same
-        outcome contract as :meth:`run`.  Returns an opaque ticket.
+        ``deliver(outcome)`` is invoked exactly once — usually on the
+        reactor thread — with the task function's ``body`` on success, else
+        a :class:`FailureInfo`, unless the ticket is withdrawn first (see
+        :meth:`collect`).  Higher ``priority`` is dispatched first, FIFO
+        among equals; a retried attempt keeps its task's rank.  A task
+        submitted to a pool that is closing or broken is answered at once,
+        on the calling thread, with a ``crash`` failure.
         """
-        if not self.serving:
-            raise RuntimeError("pool is not serving (call serve() first)")
-        ticket = next(self._serve_tickets)
-        self._intake.put((ticket, payload, deliver, int(priority)))
-        self._wake_reactor()
+        ticket = next(self._tickets)
+        task = _Task(payload, deliver, int(priority))
+        with self._intake_lock:
+            refusal = self._refusal
+            # Only the first item of an intake needs a wake-up: the reactor
+            # takes the whole intake at once.
+            wake = not self._intake
+            if refusal is None:
+                self._intake.append((ticket, task))
+        if refusal is not None:
+            deliver(FailureInfo(kind="crash", detail=refusal))
+        elif wake:
+            self._wake_reactor()
         return ticket
+
+    def collect(
+        self, done: "queue.SimpleQueue", tickets: Dict[Any, int]
+    ) -> Iterator[Tuple[Any, Any]]:
+        """Yield ``(key, outcome)`` from ``done`` until every ticket is answered.
+
+        ``tickets`` maps a caller's key to the ticket :meth:`submit` returned
+        for it, and each submission's ``deliver`` puts ``(key, outcome)`` on
+        ``done``; answered keys are removed from ``tickets``.  Abandoning the
+        iterator withdraws the rest: the reactor drops the queued ones and
+        kills and respawns the workers running the others (their results
+        have no consumer), leaving the pool reusable.
+        """
+        try:
+            while tickets:
+                key, outcome = done.get()
+                del tickets[key]
+                yield key, outcome
+        finally:
+            if tickets:
+                with self._intake_lock:
+                    if self._refusal is None:
+                        self._intake.extend((ticket, None) for ticket in tickets.values())
+                self._wake_reactor()
+
+    def run(self, payloads: Iterable[Any]) -> Iterator[Tuple[int, Any]]:
+        """Execute every payload; yield ``(index, outcome)`` as they finish.
+
+        ``outcome`` is the task function's ``body`` on success, else a
+        :class:`FailureInfo`.  Every index is yielded exactly once, in
+        completion order; abandoning the iterator withdraws the rest.
+        """
+        self.start()
+        done: "queue.SimpleQueue" = queue.SimpleQueue()
+        tickets = {
+            index: self.submit(payload, lambda outcome, key=index: done.put((key, outcome)))
+            for index, payload in enumerate(payloads)
+        }
+        yield from self.collect(done, tickets)
 
     def _wake_reactor(self) -> None:
         sender = self._wakeup_send
@@ -489,308 +521,216 @@ class SupervisedPool:
         except (BlockingIOError, OSError):
             pass  # the reactor has unread wake bytes already, or is gone
 
-    def _serve_loop(self) -> None:
-        tasks: Dict[int, Any] = {}
-        deliver: Dict[int, Callable[[Any], None]] = {}
-        pending = _PriorityPending()
-        delayed: List[Tuple[float, int, int]] = []
-        elapsed: Dict[int, float] = {}
+    # -- the reactor --------------------------------------------------------
 
-        def finish(ticket: int, outcome: Any) -> None:
-            tasks.pop(ticket, None)
-            pending.forget(ticket)
-            callback = deliver.pop(ticket, None)
-            if callback is None:
-                return
-            try:
-                callback(outcome)
-            except Exception:  # a consumer bug must not kill the reactor
-                pass
+    def _react(self) -> None:
+        """The reactor thread: admit, dispatch, wait, consume, watch.
 
-        while True:
-            # Drain the intake: new submissions and the shutdown sentinel.
-            while True:
-                try:
-                    item = self._intake.get_nowait()
-                except _queue_module.Empty:
-                    break
-                if item is None:
-                    detail = "pool closed with the task outstanding"
-                    for ticket in list(deliver):
-                        finish(ticket, FailureInfo(kind="crash", detail=detail))
-                    return
-                ticket, payload, callback, priority = item
-                if self._broken is not None:
-                    try:
-                        callback(
-                            FailureInfo(
-                                kind="crash",
-                                detail="worker pool broken: {}".format(self._broken),
-                            )
-                        )
-                    except Exception:
-                        pass
-                    continue
-                tasks[ticket] = payload
-                deliver[ticket] = callback
-                pending.set_priority(ticket, priority)
-                pending.append((ticket, 1))
-            if self._broken is not None:
-                for ticket, attempt, info in self._drain_broken(pending, delayed):
-                    finish(ticket, info)
-                # Keep looping: future submissions fail fast at intake until
-                # close() delivers the sentinel.
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, ticket, attempt = heapq.heappop(delayed)
-                pending.append((ticket, attempt))
-            wait_on: List[Any] = []
-            if self._broken is None:
-                self._dispatch_pending(pending, tasks)
-                wait_on.extend(worker.conn for worker in self._workers)
-            if self._wakeup_recv is not None:
-                wait_on.append(self._wakeup_recv)
-            ready = _wait_on_connections(wait_on, self._wait_timeout(delayed))
-            if self._wakeup_recv in ready:
-                try:
-                    while self._wakeup_recv.recv(4096):
-                        pass
-                except (BlockingIOError, OSError):
-                    pass
-            for worker in list(self._workers):
-                if worker.conn not in ready:
-                    continue
-                for ticket, outcome in self._consume(worker, pending, delayed, elapsed):
-                    finish(ticket, outcome)
-            for ticket, info in self._watchdog_sweep(pending, delayed, elapsed):
-                finish(ticket, info)
-
-    # -- the run loop -------------------------------------------------------
-
-    def run(self, payloads: Iterable[Any]) -> Iterator[Tuple[int, Any]]:
-        """Execute every payload; yield ``(index, outcome)`` as they finish.
-
-        ``outcome`` is the task function's ``body`` on success, else a
-        :class:`FailureInfo`.  Every index is yielded exactly once, in
-        completion order.  Abandoning the iterator mid-run kills and
-        respawns any workers still holding tasks (their results have no
-        consumer), leaving the pool reusable.
+        However it stops — closing, a broken pool, or a bug in this loop —
+        every outstanding task is answered with a ``crash`` failure and
+        later submissions are refused at once, so no caller ever waits on
+        a ticket that will not be delivered.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self.serving:
-            raise RuntimeError("pool is serving; use submit(), not run()")
-        tasks = list(payloads)
-        self.start()
-        pending: deque = deque((index, 1) for index in range(len(tasks)))
-        delayed: List[Tuple[float, int, int]] = []  # (not_before, index, attempt)
-        elapsed: Dict[int, float] = {}
-        outstanding = len(tasks)
         try:
-            while outstanding > 0:
-                if self._broken is not None:
-                    for index, attempt, info in self._drain_broken(pending, delayed):
-                        yield index, info
-                        outstanding -= 1
-                    break
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, index, attempt = heapq.heappop(delayed)
-                    pending.append((index, attempt))
-                self._dispatch_pending(pending, tasks)
-                ready_conns = _wait_on_connections(
-                    [worker.conn for worker in self._workers],
-                    self._wait_timeout(delayed),
-                )
+            while self._broken is None and self._admit():
+                self._release_delayed()
+                self._dispatch_pending()
+                wait_on = [worker.conn for worker in self._workers]
+                wait_on.append(self._wakeup_recv)
+                ready = _wait_on_connections(wait_on, self._wait_timeout())
+                if self._wakeup_recv in ready:
+                    try:
+                        while self._wakeup_recv.recv(4096):
+                            pass
+                    except (BlockingIOError, OSError):
+                        pass
                 for worker in list(self._workers):
-                    if worker.conn not in ready_conns:
-                        continue
-                    for index, outcome in self._consume(worker, pending, delayed, elapsed):
-                        yield index, outcome
-                        outstanding -= 1
-                for index, info in self._watchdog_sweep(pending, delayed, elapsed):
-                    yield index, info
-                    outstanding -= 1
-        finally:
-            # The consumer may abandon the iterator mid-run (a harness that
-            # breaks on its own budget).  Workers still holding tasks would
-            # eventually reply into the void — or hang forever; reclaim them.
+                    if worker.conn in ready:
+                        self._consume(worker)
+                self._watchdog_sweep()
+        except Exception as exc:  # a bug here: report it, answer everyone
+            traceback.print_exc()
+            self._broken = "reactor failed: {}: {}".format(type(exc).__name__, exc)
+        with self._intake_lock:
+            # Unset only when the pool broke: closing sets it first.
+            if self._refusal is None:
+                self._refusal = "worker pool broken: {}".format(self._broken)
+            detail = self._refusal
+            items, self._intake = self._intake, []
+        for ticket, task in items:
+            if task is None:
+                self._tasks.pop(ticket, None)
+            else:
+                self._tasks[ticket] = task
+        for ticket, task in list(self._tasks.items()):
+            self._finish(
+                ticket, FailureInfo(kind="crash", attempts=task.attempt, detail=detail)
+            )
+        if self._broken is not None:
             for worker in self._workers:
-                if worker.assignment is not None:
-                    self._respawn(worker)
+                self._kill_worker(worker)
 
-    def _dispatch_pending(self, pending: deque, tasks: List[Any]) -> None:
-        while pending:
+    def _admit(self) -> bool:
+        """Take in submissions and withdrawals; ``False`` once closing."""
+        with self._intake_lock:
+            items, self._intake = self._intake, []
+            closing = self._refusal is not None
+        withdrawn = set()
+        for ticket, task in items:
+            if task is not None:
+                self._tasks[ticket] = task
+                self._enqueue(ticket)
+            elif self._tasks.pop(ticket, None) is not None:
+                withdrawn.add(ticket)
+        for worker in self._workers:
+            if worker.assignment is not None and worker.assignment[1] in withdrawn:
+                worker.assignment = None
+                self._respawn(worker)  # its result has no consumer
+        return not closing
+
+    def _enqueue(self, ticket: int) -> None:
+        priority = self._tasks[ticket].priority
+        heapq.heappush(self._pending, (-priority, next(self._sequence), ticket))
+
+    def _finish(self, ticket: int, outcome: Any) -> None:
+        task = self._tasks.pop(ticket, None)
+        if task is not None:
+            _deliver(task.deliver, outcome)
+
+    def _release_delayed(self) -> None:
+        now = time.monotonic()
+        while self._delayed and self._delayed[0][0] <= now:
+            _, ticket = heapq.heappop(self._delayed)
+            if ticket in self._tasks:
+                self._enqueue(ticket)
+
+    def _dispatch_pending(self) -> None:
+        while self._pending:
             worker = next(
                 (w for w in self._workers if w.ready and w.assignment is None), None
             )
             if worker is None:
                 return
-            index, attempt = pending.popleft()
+            _, _, ticket = heapq.heappop(self._pending)
+            task = self._tasks.get(ticket)
+            if task is None:
+                continue  # withdrawn while queued
             task_id = next(self._task_ids)
             try:
-                worker.conn.send((task_id, index, attempt, tasks[index]))
+                worker.conn.send((task_id, ticket, task.attempt, task.payload))
             except Exception:
                 # The worker died while idle; the attempt never started.
-                pending.appendleft((index, attempt))
+                self._enqueue(ticket)
                 self._respawn(worker)
                 if self._broken is not None:
                     return
                 continue
-            worker.assignment = (task_id, index, attempt, time.monotonic())
+            worker.assignment = (task_id, ticket, time.monotonic())
             worker.acked = False
 
-    def _wait_timeout(self, delayed: List[Tuple[float, int, int]]) -> Optional[float]:
+    def _wait_timeout(self) -> Optional[float]:
         now = time.monotonic()
         horizons = []
-        if delayed:
-            horizons.append(delayed[0][0] - now)
+        if self._delayed:
+            horizons.append(self._delayed[0][0] - now)
         for worker in self._workers:
             assignment = worker.assignment
             if assignment is not None:
                 if not worker.acked:
-                    horizons.append(assignment[3] + self.ack_timeout - now)
+                    horizons.append(assignment[2] + ACK_TIMEOUT - now)
                 elif self.task_timeout is not None:
-                    horizons.append(assignment[3] + self.task_timeout - now)
-            elif self.init_timeout is not None and not worker.ready:
-                horizons.append(worker.spawned_at + self.init_timeout - now)
+                    horizons.append(assignment[2] + self.task_timeout - now)
+            elif INIT_TIMEOUT is not None and not worker.ready:
+                horizons.append(worker.spawned_at + INIT_TIMEOUT - now)
         if not horizons:
             return None
         return max(0.01, min(horizons))
 
-    def _consume(
-        self,
-        worker: _Worker,
-        pending: deque,
-        delayed: List[Tuple[float, int, int]],
-        elapsed: Dict[int, float],
-    ) -> List[Tuple[int, Any]]:
-        """Read one event from a readable worker pipe; return finished tasks."""
+    def _consume(self, worker: _Worker) -> None:
+        """Read one event from a readable worker pipe and act on it."""
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
-            return self._on_worker_death(worker, pending, delayed, elapsed)
+            self._on_worker_death(worker)
+            return
         tag = message[0]
         if tag == "ready":
             worker.ready = True
             self._init_failures = 0
-            return []
-        if tag == "started":
+        elif tag == "started":
             assignment = worker.assignment
             if assignment is not None and assignment[0] == message[1]:
                 worker.acked = True
-            return []
-        if tag == "init_error":
-            self._init_failures += 1
-            if self._init_failures > self.jobs + _INIT_FAILURE_SLACK:
-                self._broken = "workers cannot initialise: {}".format(message[1])
+        elif tag == "init_error":
             # The worker exits after reporting; the EOF that follows respawns
-            # it (or the broken flag stops the loop).
-            return []
-        if tag == "result":
+            # it (or the broken flag stops the reactor).
+            self._init_failed("workers cannot initialise: {}".format(message[1]))
+        elif tag == "result":
             _, task_id, status, body = message
             assignment = worker.assignment
             if assignment is None or assignment[0] != task_id:
-                return []  # stale reply from a task whose attempt was written off
-            _, index, attempt, started_at = assignment
+                return  # stale reply from a task whose attempt was written off
             worker.assignment = None
-            took = time.monotonic() - started_at
-            total = elapsed.pop(index, 0.0) + took
+            ticket = assignment[1]
+            task = self._tasks[ticket]
+            task.elapsed += time.monotonic() - assignment[2]
             if status == "ok":
-                return [(index, body)]
-            if status == "timeout":
-                return [
-                    (
-                        index,
-                        FailureInfo(
-                            kind="timeout",
-                            attempts=attempt,
-                            elapsed=total,
-                            detail="cooperative deadline",
-                            statistics=body,
-                        ),
-                    )
-                ]
-            if status == "oom":
-                return [
-                    (
-                        index,
-                        FailureInfo(
-                            kind="oom", attempts=attempt, elapsed=total, detail=str(body)
-                        ),
-                    )
-                ]
-            # status == "error": the attempt failed but the worker survived.
-            return self._retry_or_quarantine(
-                index, attempt, total, str(body), pending, delayed, elapsed
-            )
-        return []
+                self._finish(ticket, body)
+            elif status == "timeout":
+                self._finish(
+                    ticket,
+                    FailureInfo(
+                        kind="timeout",
+                        attempts=task.attempt,
+                        elapsed=task.elapsed,
+                        detail="cooperative deadline",
+                        statistics=body,
+                    ),
+                )
+            elif status == "oom":
+                self._finish(
+                    ticket,
+                    FailureInfo(
+                        kind="oom", attempts=task.attempt, elapsed=task.elapsed, detail=str(body)
+                    ),
+                )
+            else:  # "error": the attempt failed but the worker survived
+                self._retry_or_quarantine(ticket, str(body))
 
-    def _on_worker_death(
-        self,
-        worker: _Worker,
-        pending: deque,
-        delayed: List[Tuple[float, int, int]],
-        elapsed: Dict[int, float],
-    ) -> List[Tuple[int, Any]]:
+    def _on_worker_death(self, worker: _Worker) -> None:
         assignment = worker.assignment
-        was_ready = worker.ready
         exit_code = worker.process.exitcode
         worker.assignment = None
-        if not was_ready and assignment is None:
+        if not worker.ready and assignment is None:
             # Died during initialisation without even an init_error message.
-            self._init_failures += 1
-            if self._init_failures > self.jobs + _INIT_FAILURE_SLACK:
-                self._broken = "workers die during initialisation (exit code {})".format(
-                    exit_code
-                )
+            self._init_failed(
+                "workers die during initialisation (exit code {})".format(exit_code)
+            )
         self._respawn(worker)
-        if assignment is None:
-            return []
-        _, index, attempt, started_at = assignment
-        total = elapsed.pop(index, 0.0) + (time.monotonic() - started_at)
-        detail = "worker died (exit code {})".format(exit_code)
-        return self._retry_or_quarantine(
-            index, attempt, total, detail, pending, delayed, elapsed
+        if assignment is not None:
+            _, ticket, started_at = assignment
+            self._tasks[ticket].elapsed += time.monotonic() - started_at
+            self._retry_or_quarantine(ticket, "worker died (exit code {})".format(exit_code))
+
+    def _retry_or_quarantine(self, ticket: int, detail: str) -> None:
+        task = self._tasks[ticket]
+        if task.attempt <= self.retries:
+            self.retried += 1
+            backoff = backoff_seconds(task.attempt)
+            task.attempt += 1
+            if backoff <= 0.0:
+                self._enqueue(ticket)
+            else:
+                heapq.heappush(self._delayed, (time.monotonic() + backoff, ticket))
+            return
+        kind = "crash" if self.retries == 0 else "retries_exhausted"
+        self._finish(
+            ticket,
+            FailureInfo(kind=kind, attempts=task.attempt, elapsed=task.elapsed, detail=detail),
         )
 
-    def _retry_or_quarantine(
-        self,
-        index: int,
-        attempt: int,
-        total_elapsed: float,
-        detail: str,
-        pending: deque,
-        delayed: List[Tuple[float, int, int]],
-        elapsed: Dict[int, float],
-    ) -> List[Tuple[int, Any]]:
-        if attempt <= self.retries:
-            self.retried += 1
-            elapsed[index] = total_elapsed
-            backoff = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-            if backoff <= 0.0:
-                pending.append((index, attempt + 1))
-            else:
-                heapq.heappush(delayed, (time.monotonic() + backoff, index, attempt + 1))
-            return []
-        kind = "crash" if self.retries == 0 else "retries_exhausted"
-        return [
-            (
-                index,
-                FailureInfo(
-                    kind=kind, attempts=attempt, elapsed=total_elapsed, detail=detail
-                ),
-            )
-        ]
-
-    def _watchdog_sweep(
-        self,
-        pending: deque,
-        delayed: List[Tuple[float, int, int]],
-        elapsed: Dict[int, float],
-    ) -> List[Tuple[int, Any]]:
+    def _watchdog_sweep(self) -> None:
         now = time.monotonic()
-        finished: List[Tuple[int, Any]] = []
         for worker in self._workers:
             assignment = worker.assignment
             if assignment is None:
@@ -798,99 +738,74 @@ class SupervisedPool:
                 # never reports ready would otherwise starve dispatch forever
                 # (no EOF to react to, nothing for the task watchdog to see).
                 if (
-                    self.init_timeout is not None
+                    INIT_TIMEOUT is not None
                     and not worker.ready
-                    and now - worker.spawned_at > self.init_timeout
+                    and now - worker.spawned_at > INIT_TIMEOUT
                 ):
-                    self._init_failures += 1
-                    if self._init_failures > self.jobs + _INIT_FAILURE_SLACK:
-                        self._broken = (
-                            "workers hang during initialisation "
-                            "(no ready within {:.0f}s)".format(self.init_timeout)
-                        )
+                    self._init_failed(
+                        "workers hang during initialisation "
+                        "(no ready within {:.0f}s)".format(INIT_TIMEOUT)
+                    )
                     self._respawn(worker)
                 continue
-            _, index, attempt, started_at = assignment
+            _, ticket, started_at = assignment
             overrun = now - started_at
             if not worker.acked:
                 # The worker never even picked the task up.  A healthy worker
-                # acks within microseconds, so past ack_timeout the dispatch
+                # acks within microseconds, so past ACK_TIMEOUT the dispatch
                 # is written off as lost and the attempt retried on a fresh
                 # worker — spending the whole task budget here would punish
                 # the task for the worker's sickness.
-                if overrun <= self.ack_timeout:
+                if overrun <= ACK_TIMEOUT:
                     continue
                 worker.assignment = None
                 self._respawn(worker)
-                total = elapsed.pop(index, 0.0) + overrun
-                detail = "worker never started the task (no ack within {:.1f}s)".format(
-                    self.ack_timeout
-                )
-                finished.extend(
-                    self._retry_or_quarantine(
-                        index, attempt, total, detail, pending, delayed, elapsed
-                    )
+                self._tasks[ticket].elapsed += overrun
+                self._retry_or_quarantine(
+                    ticket,
+                    "worker never started the task (no ack within {:.1f}s)".format(ACK_TIMEOUT),
                 )
                 continue
             if self.task_timeout is None or overrun <= self.task_timeout:
                 continue
             worker.assignment = None
             self._respawn(worker)
-            total = elapsed.pop(index, 0.0) + overrun
-            finished.append(
-                (
-                    index,
-                    FailureInfo(
-                        kind="timeout",
-                        attempts=attempt,
-                        elapsed=total,
-                        detail="hard watchdog kill after {:.2f}s".format(overrun),
-                    ),
-                )
+            task = self._tasks[ticket]
+            self._finish(
+                ticket,
+                FailureInfo(
+                    kind="timeout",
+                    attempts=task.attempt,
+                    elapsed=task.elapsed + overrun,
+                    detail="hard watchdog kill after {:.2f}s".format(overrun),
+                ),
             )
-        return finished
-
-    def _drain_broken(
-        self, pending: deque, delayed: List[Tuple[float, int, int]]
-    ) -> List[Tuple[int, int, FailureInfo]]:
-        """Fail everything still queued or in flight on a broken pool."""
-        leftovers: List[Tuple[int, int]] = []
-        leftovers.extend(pending)
-        pending.clear()
-        leftovers.extend((index, attempt) for _, index, attempt in delayed)
-        delayed.clear()
-        for worker in self._workers:
-            if worker.assignment is not None:
-                _, index, attempt, _ = worker.assignment
-                worker.assignment = None
-                leftovers.append((index, attempt))
-            self._kill_worker(worker)
-        detail = "worker pool broken: {}".format(self._broken)
-        return [
-            (index, attempt, FailureInfo(kind="crash", attempts=attempt, detail=detail))
-            for index, attempt in leftovers
-        ]
 
     # -- teardown -----------------------------------------------------------
 
     def close(self, drain_seconds: Optional[float] = None) -> None:
-        """Gracefully drain the pool; escalate to terminate/kill on deadline.
+        """Stop the reactor, then drain the workers; escalate on deadline.
 
-        Idempotent: safe to call any number of times, from ``__exit__``,
-        ``__del__`` and explicit call sites alike.
+        Outstanding tasks are answered with ``crash`` failures.  Idempotent:
+        safe to call any number of times, from ``__exit__``, ``__del__`` and
+        explicit call sites alike.
         """
         if self._closed:
             return
         self._closed = True
-        budget = self.drain_seconds if drain_seconds is None else drain_seconds
-        reactor = self._serve_thread
-        if reactor is not None and reactor.is_alive():
-            # Stop the reactor before touching worker pipes: it fails any
-            # outstanding submissions structurally, then exits.
-            self._intake.put(None)
-            self._wake_reactor()
-            reactor.join(max(1.0, budget))
-        self._serve_thread = None
+        budget = DRAIN_SECONDS if drain_seconds is None else drain_seconds
+        with self._intake_lock:
+            if self._refusal is None:
+                self._refusal = "pool closed with the task outstanding"
+        self._wake_reactor()
+        if self._reactor is not None:
+            self._reactor.join(max(1.0, budget))
+        # A reactor that never started leaves its submissions here.
+        with self._intake_lock:
+            items, self._intake = self._intake, []
+        for _, task in items:
+            if task is not None:
+                _deliver(task.deliver, FailureInfo(kind="crash", detail=self._refusal))
         for sock in (self._wakeup_recv, self._wakeup_send):
             if sock is not None:
                 try:

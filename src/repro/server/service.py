@@ -23,11 +23,10 @@ The service is built to *degrade gracefully* under any offered load:
   the remainder.  Cancelled futures (client gone) are dropped before
   dispatch and counted (``cancelled``).
 * **Dispatcher lanes** — ``lanes`` threads (default ``min(jobs, 4)``)
-  consume the one priority queue concurrently and drive the shared pool
-  through the batch layer's thread-safe dispatch facade
-  (``shared_dispatch``), so a 200-entailment batch no longer head-of-line
-  blocks a 1-entailment priority request: tasks from all lanes interleave
-  per-task in the pool, ranked by request priority.
+  consume the one priority queue concurrently and run their batches on the
+  one thread-safe batch prover, so a 200-entailment batch does not
+  head-of-line block a 1-entailment priority request: tasks from all lanes
+  interleave per task in the pool's reactor, ranked by request priority.
 * **A health state machine** — :meth:`health` reports
   ``healthy | degraded | overloaded | draining`` so pollers and routers can
   steer before the cliff, not after.
@@ -174,8 +173,8 @@ class ProofService:
         concurrent processes sharing the path lock per shard, not globally.
     lanes:
         Dispatcher threads consuming the queue (default ``min(jobs, 4)``).
-        More than one switches the batch prover into its thread-safe shared
-        dispatch mode; a single lane keeps the original solo dispatch.
+        Each runs its request as one batch on the shared batch prover,
+        whose pool interleaves the tasks of concurrent batches by priority.
     max_queue_requests / max_queue_entailments:
         Admission high-water marks.  A submission that would push either
         counter past its cap is refused with :class:`ServiceOverloaded`.
@@ -222,7 +221,6 @@ class ProofService:
             cache=cache,
             retries=retries,
             grace_factor=grace_factor,
-            shared_dispatch=lanes > 1,
         )
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._sequence = itertools.count()

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import functools
 import random
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.supervisor as supervisor
 from repro.core.batch import BatchProver, FailureInfo, default_jobs
 from repro.core.config import ProverConfig
 from repro.core.faults import (
@@ -44,6 +46,12 @@ from repro.core.prover import Prover, ProverTimeout
 from repro.core.result import ProofResult
 from repro.logic.formula import Entailment, lseg, neq, pts
 from tests.conftest import make_random_entailment
+
+
+@pytest.fixture(autouse=True)
+def _immediate_retries(monkeypatch):
+    # Retries are immediate; chaos tests measure logic, not waiting.
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,7 +87,6 @@ def _chaos_prover(plan, jobs, retries=2, config=None, **kwargs):
         jobs=jobs,
         cache=False,
         retries=retries,
-        backoff_base=0.0,  # retries are immediate; chaos tests measure logic, not waiting
         fault_plan=plan,
         **kwargs,
     )
@@ -318,7 +325,6 @@ class TestFaultPlan:
             jobs=1,
             cache=False,
             retries=0,
-            backoff_base=0.0,
         ) as batch:
             outcomes = batch.prove_all(corpus)
         assert isinstance(outcomes[0], FailureInfo)
@@ -383,6 +389,63 @@ class TestPoolLifecycle:
             verdicts = _verdicts(batch.prove_all(corpus))
         assert verdicts == list(_baseline_cached(6))
 
+    def test_abandoned_batch_withdraws_its_work(self):
+        """Breaking out of a batch withdraws its outstanding tasks: the hung
+        worker is respawned at once, so ``close()`` does not wait out its
+        drain budget (a harness that breaks on its budget counts that wait)."""
+        plan = FaultPlan().with_fault(0, FaultSpec(kind="hang", seconds=30.0))
+        batch = BatchProver(ProverConfig(), jobs=2, cache=False, fault_plan=plan)
+        try:
+            for _ in batch.iter_results(_corpus(4)):
+                break
+        finally:
+            started = time.monotonic()
+            batch.close()
+            took = time.monotonic() - started
+        assert took < 1.0
+        assert batch.statistics.respawned_workers >= 1
+
+    def test_reactor_failure_answers_every_index_once(self, monkeypatch):
+        """A bug in the pool's loop must neither lose nor repeat an index:
+        the outstanding tasks come back as crash failures, and the broken
+        pool answers later batches at once."""
+        from repro.core.supervisor import SupervisedPool
+
+        chains = [
+            Entailment.build(
+                lhs=[pts("c{}_{}".format(chain, cell), "c{}_{}".format(chain, cell + 1))
+                     for cell in range(3)] + [pts("c{}_3".format(chain), "nil")],
+                rhs=[lseg("c{}_0".format(chain), "nil")],
+            )
+            for chain in range(4)
+        ]
+        first_outcome = threading.Event()
+        consume = SupervisedPool._consume
+
+        def failing_consume(self, *args, **kwargs):
+            if first_outcome.is_set():
+                raise RuntimeError("injected bug in the pool loop")
+            return consume(self, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "_consume", failing_consume)
+        plan = FaultPlan().with_fault(0, FaultSpec(kind="slow", seconds=0.5))
+        with BatchProver(ProverConfig(), jobs=2, cache=False, fault_plan=plan) as batch:
+            indices, failures = [], []
+            for index, outcome in batch.iter_results(chains):
+                first_outcome.set()
+                indices.append(index)
+                if isinstance(outcome, FailureInfo):
+                    failures.append(index)
+                    assert outcome.kind == "crash", outcome
+                else:
+                    assert outcome.is_valid
+            assert sorted(indices) == [0, 1, 2, 3]
+            assert 0 in failures  # still sleeping when the loop failed
+            started = time.monotonic()
+            later = batch.prove_all(chains)
+            assert time.monotonic() - started < 5.0
+        assert all(isinstance(o, FailureInfo) and o.kind == "crash" for o in later)
+
     def test_default_jobs_respects_cpu_affinity(self, monkeypatch):
         import os
 
@@ -431,7 +494,6 @@ class TestConsumers:
             jobs=1,
             cache=False,
             retries=0,
-            backoff_base=0.0,
             fault_plan=plan,
         ) as engine:
             report = prove_procedure(procedure, batch_prover=engine)
@@ -456,6 +518,15 @@ class TestConsumers:
         assert lines[0].startswith("crashed")
         assert lines[1].startswith("valid")
         assert "crashed/quarantined" in captured.err
+        assert code == 3
+
+        # Through the pool: the retry and both respawns reach the summary.
+        plan = FaultPlan().with_fault(0, FaultSpec(kind="exit"))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_env())
+        code = main([str(source), "--jobs", "2", "--retries", "1", "--no-cache"])
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].startswith("crashed")
+        assert "failures: 1 crashed/quarantined; 1 retries, 2 workers respawned" in captured.err
         assert code == 3
 
     def test_fuzz_campaign_survives_injected_chaos(self):
@@ -554,17 +625,17 @@ def _hang_once_init(flag_path):
 
 
 class TestLivenessAcks:
-    def test_never_ready_worker_is_respawned(self, tmp_path):
+    def test_never_ready_worker_is_respawned(self, tmp_path, monkeypatch):
         """A worker wedged in initialisation must not starve the pool: the
         init watchdog respawns it and the batch completes."""
         from repro.core.supervisor import SupervisedPool
 
+        monkeypatch.setattr(supervisor, "INIT_TIMEOUT", 0.5)
         pool = SupervisedPool(
             jobs=1,
             initializer=_hang_once_init,
             init_args=(str(tmp_path / "hung-once"),),
             retries=0,
-            init_timeout=0.5,
         )
         try:
             started = time.monotonic()
@@ -576,22 +647,62 @@ class TestLivenessAcks:
         assert pool.respawned_workers >= 1
         assert took < 30.0
 
-    def test_unacked_dispatch_is_retried_not_watchdogged(self):
+    def test_concurrent_submitters_each_get_every_outcome_once(self):
+        """Threads sharing one pool (more workers than cores, a short switch
+        interval): each gets back exactly its own payloads, one outcome per
+        index, while another thread abandons its batches half-way."""
+        import sys
+
+        from repro.core.supervisor import SupervisedPool
+
+        pool = SupervisedPool(jobs=3, initializer=_echo_init)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool.start()
+
+            def submitter(name):
+                payloads = ["{}-{}".format(name, i) for i in range(60)]
+                results[name] = list(pool.run(payloads))
+
+            def abandoner():
+                for _ in range(5):
+                    for _ in pool.run(["drop-{}".format(i) for i in range(30)]):
+                        break
+
+            threads = [threading.Thread(target=submitter, args=(name,)) for name in "abcd"]
+            threads.append(threading.Thread(target=abandoner))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            # The pool is still usable after the withdrawals.
+            assert dict(pool.run(["after"])) == {0: "after"}
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        for name in "abcd":
+            indices = [index for index, _ in results[name]]
+            assert sorted(indices) == list(range(60))
+            assert all(outcome == "{}-{}".format(name, index) for index, outcome in results[name])
+
+    def test_unacked_dispatch_is_retried_not_watchdogged(self, monkeypatch):
         """A live-but-wedged worker (SIGSTOP) never acks its task: the ack
-        watchdog must retry on a respawn within ``ack_timeout``, not burn the
+        watchdog must retry on a respawn within ``ACK_TIMEOUT``, not burn the
         full ``task_timeout`` and fail the task."""
         import os as _os
         import signal as _signal
 
         from repro.core.supervisor import SupervisedPool
 
+        monkeypatch.setattr(supervisor, "ACK_TIMEOUT", 0.5)
         pool = SupervisedPool(
             jobs=1,
             initializer=_echo_init,
             task_timeout=60.0,
             retries=1,
-            backoff_base=0.0,
-            ack_timeout=0.5,
         )
         try:
             assert dict(pool.run(["warm"])) == {0: "warm"}  # worker is ready
