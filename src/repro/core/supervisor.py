@@ -94,10 +94,9 @@ DRAIN_SECONDS = 5.0
 ACK_TIMEOUT = 5.0
 
 #: A freshly forked worker must report ``("ready", ...)`` within this budget
-#: or it is killed and respawned (``None`` disables).  A child wedged during
-#: initialisation otherwise sits there forever: never ready, never EOF,
-#: starving dispatch.
-INIT_TIMEOUT: Optional[float] = 60.0
+#: or it is killed and respawned.  A child wedged during initialisation
+#: otherwise sits there forever: never ready, never EOF, starving dispatch.
+INIT_TIMEOUT = 60.0
 
 
 def backoff_seconds(attempt: int) -> float:
@@ -640,7 +639,7 @@ class SupervisedPool:
                     horizons.append(assignment[2] + ACK_TIMEOUT - now)
                 elif self.task_timeout is not None:
                     horizons.append(assignment[2] + self.task_timeout - now)
-            elif INIT_TIMEOUT is not None and not worker.ready:
+            elif not worker.ready:
                 horizons.append(worker.spawned_at + INIT_TIMEOUT - now)
         if not horizons:
             return None
@@ -737,11 +736,7 @@ class SupervisedPool:
                 # No task in flight; check the init watchdog — a worker that
                 # never reports ready would otherwise starve dispatch forever
                 # (no EOF to react to, nothing for the task watchdog to see).
-                if (
-                    INIT_TIMEOUT is not None
-                    and not worker.ready
-                    and now - worker.spawned_at > INIT_TIMEOUT
-                ):
+                if not worker.ready and now - worker.spawned_at > INIT_TIMEOUT:
                     self._init_failed(
                         "workers hang during initialisation "
                         "(no ready within {:.0f}s)".format(INIT_TIMEOUT)

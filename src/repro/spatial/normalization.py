@@ -256,7 +256,7 @@ class _Normalizer:
         if self.keys is None:
             self.keys = [atom.sort_key for atom in self.atoms]
         if self.index is None:
-            self.index = AnchorIndex(theory_of(clause), self.atoms)
+            self.index = AnchorIndex(theory_of(self.source), self.atoms)
         return self.index, self.keys
 
     # -- the stepwise derivation ---------------------------------------------

@@ -29,14 +29,14 @@ import contextlib
 import pickle
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.core.prover as prover_module
 from repro.core.config import ProverConfig
 from repro.core.prover import Prover
 from repro.fuzz.generator import DEFAULT_WEIGHTS, EntailmentGenerator, GeneratorProfile
-from repro.logic.atoms import EqAtom, SpatialFormula
+from repro.logic.atoms import DllSegment, EqAtom, SpatialFormula
 from repro.logic.clauses import Clause
 from repro.logic.ordering import default_order
 from repro.logic.parser import parse_entailment
@@ -258,12 +258,36 @@ def models(draw):
     return EqualityModel(RewriteRelation(edges), generators, default_order(POOL))
 
 
+def _one_edge_model(source: Const, target: Const) -> EqualityModel:
+    """The model rewriting ``source`` to ``target``, generated by ``source = target``."""
+    equation = EqAtom(source, target)
+    generator = GeneratingClause(
+        clause=Clause.pure(frozenset(), frozenset({equation})),
+        equation=equation,
+        leftover_gamma=frozenset(),
+        leftover_delta=frozenset(),
+    )
+    return EqualityModel(
+        RewriteRelation({source: target}), {(source, target): generator}, default_order(POOL)
+    )
+
+
 @given(
     st.sampled_from(["sll", "dll"]).flatmap(
         lambda theory: colliding_formulas(sll_atoms if theory == "sll" else dll_atoms)
     ),
     st.booleans(),
     st.lists(models(), min_size=1, max_size=5),
+)
+# The first model turns the only dll atom trivial, the second brings it
+# back: the anchor index built for the empty output must still be a dll one.
+@example(
+    atoms=[DllSegment(POOL[0], POOL[0], POOL[0], POOL[1])],
+    positive=True,
+    sequence=[
+        _one_edge_model(POOL[1], POOL[0]),
+        EqualityModel(RewriteRelation({}), {}, default_order(POOL)),
+    ],
 )
 def test_model_sequences_match_the_references(atoms, positive, sequence):
     """One clause object through several models, every round checked."""
