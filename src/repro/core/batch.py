@@ -53,7 +53,6 @@ testing; failures it causes are marked ``injected``.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -575,19 +574,10 @@ class BatchProver:
             return
         stats.parallel = True
         # Fault plans target batch indices, so the payload carries the index
-        # for the worker to unpack.  The reactor delivers every submission
-        # exactly once, and ``collect`` withdraws what is left if this
-        # generator is abandoned.
-        done: "queue.SimpleQueue" = queue.SimpleQueue()
-        tickets = {
-            index: pool.submit(
-                (index, entailment, overrides),
-                lambda outcome, key=index: done.put((key, outcome)),
-                priority,
-            )
-            for index, entailment in tasks
-        }
-        for index, outcome in pool.collect(done, tickets):
+        # for the worker to unpack.  The pool answers every task exactly
+        # once, and withdraws what is left if this generator is abandoned.
+        payloads = ((index, (index, entailment, overrides)) for index, entailment in tasks)
+        for index, outcome in pool._stream(payloads, priority):
             yield index, self._mark_injected(index, outcome)
 
     def _echo_for_follower(

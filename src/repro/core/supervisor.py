@@ -63,6 +63,7 @@ import socket
 import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_on_connections
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -293,6 +294,48 @@ def _deliver(deliver: Callable[[Any], None], outcome: Any) -> None:
         pass
 
 
+def _react(pool_ref: "weakref.ReferenceType[SupervisedPool]") -> None:
+    """Body of a pool's reactor thread: admit, dispatch, wait, consume, watch.
+
+    The thread holds its pool strongly only between waits, so a started pool
+    dropped without :meth:`SupervisedPool.close` is still collected, and its
+    ``__del__`` closes it.  However the loop stops — closing, a broken pool,
+    or a bug in this loop — every outstanding task is answered with a
+    ``crash`` failure and later submissions are refused at once, so no
+    caller ever waits on a ticket that will not be delivered.
+    """
+    pool = pool_ref()
+    try:
+        while pool is not None:
+            waiting = pool._turn()
+            if waiting is None:
+                break
+            pool = None  # wait without keeping a dropped pool alive
+            try:
+                ready = _wait_on_connections(*waiting)
+            except (OSError, ValueError):
+                # Closed pipes: the pool was closed under the wait, by its
+                # ``__del__`` when this thread dropped the last reference.
+                pool = pool_ref()
+                if pool is None or pool._closed:
+                    return
+                raise
+            pool = pool_ref()
+            if pool is not None:
+                pool._take(ready)
+    except Exception as exc:  # a bug here: report it, answer everyone
+        pool = pool_ref()
+        if pool is not None:
+            pool._broken = "reactor failed: {}: {}".format(type(exc).__name__, exc)
+        try:
+            traceback.print_exc()
+        except Exception:
+            pass  # stderr is gone (a closed pipe); the callers are answered anyway
+    finally:
+        if pool is not None:
+            pool._stop()
+
+
 class SupervisedPool:
     """Per-task dispatch over supervised worker processes.
 
@@ -314,9 +357,8 @@ class SupervisedPool:
     :meth:`start` spawns the workers and the reactor thread; from then on
     the reactor alone touches the workers and the dispatch state.  Other
     threads only append to the intake under ``_intake_lock``.  The reactor
-    thread holds the pool, so a started pool must be closed: dropped
-    without :meth:`close`, it keeps its workers until the interpreter
-    exits (:class:`~repro.core.batch.BatchProver` closes its own).
+    holds the pool only weakly while it waits, so a started pool dropped
+    without :meth:`close` is still collected, and ``__del__`` closes it.
     """
 
     def __init__(
@@ -399,7 +441,7 @@ class SupervisedPool:
         send_end.setblocking(False)
         self._wakeup_recv, self._wakeup_send = recv_end, send_end
         self._reactor = threading.Thread(
-            target=self._react, name="slp-pool-reactor", daemon=True
+            target=_react, args=(weakref.ref(self),), name="slp-pool-reactor", daemon=True
         )
         self._reactor.start()
 
@@ -451,11 +493,12 @@ class SupervisedPool:
 
         ``deliver(outcome)`` is invoked exactly once — usually on the
         reactor thread — with the task function's ``body`` on success, else
-        a :class:`FailureInfo`, unless the ticket is withdrawn first (see
-        :meth:`collect`).  Higher ``priority`` is dispatched first, FIFO
-        among equals; a retried attempt keeps its task's rank.  A task
-        submitted to a pool that is closing or broken is answered at once,
-        on the calling thread, with a ``crash`` failure.
+        a :class:`FailureInfo`, unless the ticket is withdrawn first (an
+        abandoned :meth:`run` withdraws its tickets).  Higher ``priority``
+        is dispatched first, FIFO among equals; a retried attempt keeps its
+        task's rank.  A task submitted to a pool that is closing or broken
+        is answered at once, on the calling thread, with a ``crash``
+        failure.
         """
         ticket = next(self._tickets)
         task = _Task(payload, deliver, int(priority))
@@ -472,18 +515,33 @@ class SupervisedPool:
             self._wake_reactor()
         return ticket
 
-    def collect(
-        self, done: "queue.SimpleQueue", tickets: Dict[Any, int]
-    ) -> Iterator[Tuple[Any, Any]]:
-        """Yield ``(key, outcome)`` from ``done`` until every ticket is answered.
+    def run(self, payloads: Iterable[Any]) -> Iterator[Tuple[int, Any]]:
+        """Execute every payload; yield ``(index, outcome)`` as they finish.
 
-        ``tickets`` maps a caller's key to the ticket :meth:`submit` returned
-        for it, and each submission's ``deliver`` puts ``(key, outcome)`` on
-        ``done``; answered keys are removed from ``tickets``.  Abandoning the
-        iterator withdraws the rest: the reactor drops the queued ones and
-        kills and respawns the workers running the others (their results
-        have no consumer), leaving the pool reusable.
+        ``outcome`` is the task function's ``body`` on success, else a
+        :class:`FailureInfo`.  Every index is yielded exactly once, in
+        completion order; abandoning the iterator withdraws the rest.
         """
+        self.start()
+        yield from self._stream(enumerate(payloads), 0)
+
+    def _stream(
+        self, keyed_payloads: Iterable[Tuple[Any, Any]], priority: int
+    ) -> Iterator[Tuple[Any, Any]]:
+        """Submit each ``(key, payload)``; yield ``(key, outcome)`` as answered.
+
+        Every key is yielded exactly once.  Abandoning the iterator withdraws
+        the rest: the reactor drops the queued ones and kills and respawns
+        the workers running the others (their results have no consumer),
+        leaving the pool reusable.
+        """
+        done: "queue.SimpleQueue" = queue.SimpleQueue()
+        tickets = {
+            key: self.submit(
+                payload, lambda outcome, key=key: done.put((key, outcome)), priority
+            )
+            for key, payload in keyed_payloads
+        }
         try:
             while tickets:
                 key, outcome = done.get()
@@ -496,21 +554,6 @@ class SupervisedPool:
                         self._intake.extend((ticket, None) for ticket in tickets.values())
                 self._wake_reactor()
 
-    def run(self, payloads: Iterable[Any]) -> Iterator[Tuple[int, Any]]:
-        """Execute every payload; yield ``(index, outcome)`` as they finish.
-
-        ``outcome`` is the task function's ``body`` on success, else a
-        :class:`FailureInfo`.  Every index is yielded exactly once, in
-        completion order; abandoning the iterator withdraws the rest.
-        """
-        self.start()
-        done: "queue.SimpleQueue" = queue.SimpleQueue()
-        tickets = {
-            index: self.submit(payload, lambda outcome, key=index: done.put((key, outcome)))
-            for index, payload in enumerate(payloads)
-        }
-        yield from self.collect(done, tickets)
-
     def _wake_reactor(self) -> None:
         sender = self._wakeup_send
         if sender is None:
@@ -522,34 +565,35 @@ class SupervisedPool:
 
     # -- the reactor --------------------------------------------------------
 
-    def _react(self) -> None:
-        """The reactor thread: admit, dispatch, wait, consume, watch.
+    def _turn(self) -> Optional[Tuple[List[Any], Optional[float]]]:
+        """Admit, release and dispatch; return what to wait on and for how
+        long, or ``None`` once closing or broken (a broken pool's killed
+        workers have closed pipes, which must not reach the wait)."""
+        if not self._admit() or self._broken is not None:
+            return None
+        self._release_delayed()
+        self._dispatch_pending()
+        if self._broken is not None:
+            return None
+        wait_on: List[Any] = [worker.conn for worker in self._workers]
+        wait_on.append(self._wakeup_recv)
+        return wait_on, self._wait_timeout()
 
-        However it stops — closing, a broken pool, or a bug in this loop —
-        every outstanding task is answered with a ``crash`` failure and
-        later submissions are refused at once, so no caller ever waits on
-        a ticket that will not be delivered.
-        """
-        try:
-            while self._broken is None and self._admit():
-                self._release_delayed()
-                self._dispatch_pending()
-                wait_on = [worker.conn for worker in self._workers]
-                wait_on.append(self._wakeup_recv)
-                ready = _wait_on_connections(wait_on, self._wait_timeout())
-                if self._wakeup_recv in ready:
-                    try:
-                        while self._wakeup_recv.recv(4096):
-                            pass
-                    except (BlockingIOError, OSError):
-                        pass
-                for worker in list(self._workers):
-                    if worker.conn in ready:
-                        self._consume(worker)
-                self._watchdog_sweep()
-        except Exception as exc:  # a bug here: report it, answer everyone
-            traceback.print_exc()
-            self._broken = "reactor failed: {}: {}".format(type(exc).__name__, exc)
+    def _take(self, ready: List[Any]) -> None:
+        """Act on a finished wait: drain wake-ups, read workers, sweep."""
+        if self._wakeup_recv in ready:
+            try:
+                while self._wakeup_recv.recv(4096):
+                    pass
+            except (BlockingIOError, OSError):
+                pass
+        for worker in list(self._workers):
+            if worker.conn in ready:
+                self._consume(worker)
+        self._watchdog_sweep()
+
+    def _stop(self) -> None:
+        """The reactor's last act: refuse new work, answer what is outstanding."""
         with self._intake_lock:
             # Unset only when the pool broke: closing sets it first.
             if self._refusal is None:
@@ -783,7 +827,9 @@ class SupervisedPool:
 
         Outstanding tasks are answered with ``crash`` failures.  Idempotent:
         safe to call any number of times, from ``__exit__``, ``__del__`` and
-        explicit call sites alike.
+        explicit call sites alike.  ``__del__`` may run on the reactor
+        thread itself, when the reactor held the last reference; it then
+        does not wait for the reactor, which stops once the pool is gone.
         """
         if self._closed:
             return
@@ -793,8 +839,9 @@ class SupervisedPool:
             if self._refusal is None:
                 self._refusal = "pool closed with the task outstanding"
         self._wake_reactor()
-        if self._reactor is not None:
-            self._reactor.join(max(1.0, budget))
+        reactor = self._reactor
+        if reactor is not None and reactor is not threading.current_thread():
+            reactor.join(max(1.0, budget))
         # A reactor that never started leaves its submissions here.
         with self._intake_lock:
             items, self._intake = self._intake, []

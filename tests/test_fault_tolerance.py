@@ -21,8 +21,12 @@ these assertions).  The cached path keeps its own coverage in
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
+import io
 import random
+import sys
 import threading
 import time
 
@@ -46,12 +50,6 @@ from repro.core.prover import Prover, ProverTimeout
 from repro.core.result import ProofResult
 from repro.logic.formula import Entailment, lseg, neq, pts
 from tests.conftest import make_random_entailment
-
-
-@pytest.fixture(autouse=True)
-def _immediate_retries(monkeypatch):
-    # Retries are immediate; chaos tests measure logic, not waiting.
-    monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,15 +79,20 @@ def _baseline_verdicts(entailments):
         return _verdicts(batch.prove_all(list(entailments)))
 
 
+@contextlib.contextmanager
 def _chaos_prover(plan, jobs, retries=2, config=None, **kwargs):
-    return BatchProver(
-        config if config is not None else ProverConfig().for_benchmarking(),
-        jobs=jobs,
-        cache=False,
-        retries=retries,
-        fault_plan=plan,
-        **kwargs,
-    )
+    # Retries are immediate; chaos tests measure logic, not waiting.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(supervisor, "BACKOFF_BASE", 0.0)
+        with BatchProver(
+            config if config is not None else ProverConfig().for_benchmarking(),
+            jobs=jobs,
+            cache=False,
+            retries=retries,
+            fault_plan=plan,
+            **kwargs,
+        ) as batch:
+            yield batch
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +322,7 @@ class TestFaultPlan:
         """The env route: an external harness injects without touching call sites."""
         plan = FaultPlan().with_fault(0, FaultSpec(kind="error"))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_env())
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.0)
         corpus = _corpus(3)
         with BatchProver(
             ProverConfig().for_benchmarking(),
@@ -405,11 +409,18 @@ class TestPoolLifecycle:
         assert took < 1.0
         assert batch.statistics.respawned_workers >= 1
 
-    def test_reactor_failure_answers_every_index_once(self, monkeypatch):
+    @pytest.mark.parametrize("stderr_closed", [False, True])
+    def test_reactor_failure_answers_every_index_once(self, monkeypatch, stderr_closed):
         """A bug in the pool's loop must neither lose nor repeat an index:
         the outstanding tasks come back as crash failures, and the broken
-        pool answers later batches at once."""
+        pool answers later batches at once.  That holds also when the
+        traceback cannot be printed (stderr a closed pipe)."""
         from repro.core.supervisor import SupervisedPool
+
+        if stderr_closed:
+            closed = io.StringIO()
+            closed.close()
+            monkeypatch.setattr(sys, "stderr", closed)
 
         chains = [
             Entailment.build(
@@ -483,10 +494,11 @@ class TestPoolLifecycle:
 
 
 class TestConsumers:
-    def test_procedure_with_crashed_vc_is_not_verified(self):
+    def test_procedure_with_crashed_vc_is_not_verified(self, monkeypatch):
         from repro.frontend import all_programs, prove_procedure
         from repro.frontend.verify import outcome_label
 
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.0)
         procedure = all_programs()[0]
         plan = FaultPlan().with_fault(0, FaultSpec(kind="error"))
         with BatchProver(
@@ -624,6 +636,15 @@ def _hang_once_init(flag_path):
     return _echo_task
 
 
+def _sleep_task(payload, index, attempt):
+    time.sleep(payload)
+    return "ok", payload
+
+
+def _sleep_init():
+    return _sleep_task
+
+
 class TestLivenessAcks:
     def test_never_ready_worker_is_respawned(self, tmp_path, monkeypatch):
         """A worker wedged in initialisation must not starve the pool: the
@@ -698,6 +719,7 @@ class TestLivenessAcks:
         from repro.core.supervisor import SupervisedPool
 
         monkeypatch.setattr(supervisor, "ACK_TIMEOUT", 0.5)
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 0.0)
         pool = SupervisedPool(
             jobs=1,
             initializer=_echo_init,
@@ -715,3 +737,45 @@ class TestLivenessAcks:
         assert outcomes == {0: "x"}
         assert pool.retried == 1
         assert took < 30.0  # far under task_timeout: the ack tier fired
+
+    def test_failed_respawn_keeps_its_reason(self, monkeypatch):
+        """A pool that cannot replace a killed worker tells every later
+        caller why, instead of failing its loop on the dead worker's closed
+        pipe and reporting that."""
+        from repro.core.supervisor import SupervisedPool
+
+        pool = SupervisedPool(jobs=1, initializer=_sleep_init)
+        try:
+            first = pool.run([0.0, 30.0])
+            assert next(first) == (0, 0.0)
+            deadline = time.monotonic() + 10.0
+            while pool._workers[0].assignment is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._workers[0].assignment is not None  # the 30 s task runs
+
+            def refuse():
+                raise OSError("no processes left")
+
+            monkeypatch.setattr(pool, "_spawn_worker", refuse)
+            first.close()  # withdraws the running task: its worker is killed
+            ((_, outcome),) = pool.run([0.0])
+        finally:
+            pool.close()
+        assert isinstance(outcome, FailureInfo) and outcome.kind == "crash"
+        assert "cannot respawn worker: no processes left" in outcome.detail
+
+    def test_dropped_pool_reclaims_its_workers(self):
+        """A started pool dropped without ``close()`` is still collected
+        (the reactor holds it only weakly while it waits), and collecting
+        it stops its workers and its reactor."""
+        from repro.core.supervisor import SupervisedPool
+
+        pool = SupervisedPool(jobs=2, initializer=_echo_init)
+        assert dict(pool.run(["warm"])) == {0: "warm"}
+        processes = [worker.process for worker in pool._workers]
+        reactor = pool._reactor
+        del pool
+        gc.collect()
+        reactor.join(10)
+        assert not reactor.is_alive()
+        assert not any(process.is_alive() for process in processes)
