@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Load-test ``slp serve``: concurrent clients, cold vs warm store.
 
-Boots the real server as a subprocess (ephemeral port, sharded persistent
-store), drives it with concurrent HTTP clients, and reports per-request
+Boots the real server as a subprocess (ephemeral port, persistent store),
+drives it with concurrent HTTP clients, and reports per-request
 latency (p50/p99) and throughput for two phases:
 
 - **cold**: a fresh store; every request is a distinct entailment the
@@ -10,7 +10,7 @@ latency (p50/p99) and throughput for two phases:
   persist.
 - **warm**: the server is stopped (SIGTERM, graceful drain) and restarted
   over the same store; every request is an *alpha-renamed* copy of a cold
-  problem, so each one is answered from the sharded disk store via the
+  problem, so each one is answered from the disk store via the
   canonical-fingerprint cache — no proving at all.
 
 The spread between the two is the point of running a persistent service:
@@ -119,7 +119,6 @@ class Server:
         self,
         store: str,
         jobs: int,
-        shards: int,
         timeout: float,
         extra_args=(),
         extra_env=None,
@@ -144,8 +143,6 @@ class Server:
                 str(jobs),
                 "--store",
                 store,
-                "--shards",
-                str(shards),
                 "--timeout",
                 str(timeout),
             ]
@@ -398,7 +395,7 @@ def overload(args) -> int:
     """Chaos-under-load acceptance; ``--smoke`` gates without a BENCH write."""
     batch_size = 10
     max_queue_requests = 4
-    lanes = min(args.jobs, 4)
+    lanes = min(args.jobs, 4)  # the server's dispatcher lanes
     capacity = lanes + max_queue_requests
     clients = max(args.clients, 4 * capacity)
     requests = args.requests
@@ -423,10 +420,8 @@ def overload(args) -> int:
         with Server(
             os.path.join(scratch, "proofs.store"),
             args.jobs,
-            args.shards,
             args.timeout,
             extra_args=[
-                "--lanes", str(lanes),
                 "--max-queue-requests", str(max_queue_requests),
                 "--max-queue-entailments", str(max_queue_requests * batch_size * 4),
             ],
@@ -584,7 +579,7 @@ def smoke(args) -> int:
     lines = bases + repeats + bases[: total - 2 * distinct]
     with tempfile.TemporaryDirectory() as scratch:
         with Server(
-            os.path.join(scratch, "proofs.store"), args.jobs, args.shards, args.timeout
+            os.path.join(scratch, "proofs.store"), args.jobs, args.timeout
         ) as server:
             latencies, wall, failures = run_phase(server.base, lines, args.clients)
             stats = server.stats()
@@ -608,7 +603,7 @@ def smoke(args) -> int:
 
 
 def bench(args) -> int:
-    """Cold vs warm phases against a persistent sharded store."""
+    """Cold vs warm phases against a persistent store."""
     cold_lines = [base_problem(index) for index in range(args.requests)]
     warm_lines = [
         alpha_renamed(line, "warm{}".format(index))
@@ -618,13 +613,13 @@ def bench(args) -> int:
         store = os.path.join(scratch, "proofs.store")
         print("[bench_load] cold phase: {} distinct problems, {} clients".format(
             len(cold_lines), args.clients))
-        with Server(store, args.jobs, args.shards, args.timeout) as server:
+        with Server(store, args.jobs, args.timeout) as server:
             cold_latencies, cold_wall, cold_failures = run_phase(
                 server.base, cold_lines, args.clients
             )
             cold_stats = server.stats()
         print("[bench_load] warm phase: restarted server, alpha-renamed repeats")
-        with Server(store, args.jobs, args.shards, args.timeout) as server:
+        with Server(store, args.jobs, args.timeout) as server:
             warm_latencies, warm_wall, warm_failures = run_phase(
                 server.base, warm_lines, args.clients
             )
@@ -641,13 +636,12 @@ def bench(args) -> int:
     section = {
         "jobs": args.jobs,
         "clients": args.clients,
-        "shards": args.shards,
         "cold": cold,
         "warm": warm,
         "median_speedup": round(speedup, 1),
         "cold_store_appends": cold_stats.get("store", {}).get("appends", 0),
         "notes": (
-            "cold = fresh sharded store, every request a distinct entailment "
+            "cold = fresh store, every request a distinct entailment "
             "(real saturation + write-through persist); warm = server restarted "
             "over the same store, every request an alpha-renamed repeat answered "
             "from disk via the canonical-fingerprint cache. Latency is "
@@ -696,7 +690,6 @@ def main(argv=None) -> int:
                         " 48 overload, 24 overload smoke)")
     parser.add_argument("--clients", type=int, default=8, help="concurrent clients (default 8)")
     parser.add_argument("--jobs", type=int, default=2, help="server worker processes (default 2)")
-    parser.add_argument("--shards", type=int, default=4, help="store shards (default 4)")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="server per-entailment budget ceiling (default 30)")
     parser.add_argument("--out", default=None,

@@ -2,22 +2,23 @@
 """Kill a checkpointed fuzz campaign mid-run and prove ``--resume`` heals it.
 
 This is the CI durability smoke (see TESTING.md, "Durability"): it launches a
-checkpointed ``slp fuzz --run-dir`` campaign as a subprocess, polls the run
-journal until roughly half of the primary verdicts are committed, SIGKILLs the
-coordinator (no cleanup handlers run — exactly the crash the store is built
-for), resumes the campaign with ``--resume``, and compares the resumed
-summary against a fresh uninterrupted run of the same campaign.  The
-deterministic projection of the two reports (everything except wall-clock
-seconds) must match byte for byte.
+checkpointed ``slp fuzz --run-dir --jobs 2`` campaign as a subprocess in its
+own session, polls the run journal until roughly half of the primary verdicts
+are committed, SIGKILLs the coordinator (no cleanup handlers run — exactly the
+crash the store is built for), checks that none of its worker processes
+outlives it by more than 2 s, resumes the campaign with ``--resume``, and
+compares the resumed summary against a fresh uninterrupted run of the same
+campaign.  The deterministic projection of the two reports (everything except
+wall-clock seconds) must match byte for byte.
 
 Usage::
 
     PYTHONPATH=src python scripts/kill_and_resume_smoke.py              # 200 instances
     PYTHONPATH=src python scripts/kill_and_resume_smoke.py --iterations 60
 
-Exit codes: 0 on a bit-identical resume, 1 on any divergence, 2 when the
-campaign could not be interrupted mid-run (too fast to kill — rerun with more
-``--iterations``).
+Exit codes: 0 on a bit-identical resume, 1 on any divergence or an orphaned
+worker, 2 when the campaign could not be interrupted mid-run (too fast to
+kill — rerun with more ``--iterations``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def _campaign_argv(seed: int, iterations: int, run_dir=None, resume=False):
         str(seed),
         "--iterations",
         str(iterations),
+        "--jobs",
+        "2",
         "--no-shrink",
     ]
     if run_dir is not None:
@@ -66,6 +69,23 @@ def _journal_records(path: str) -> int:
             return len(journal.entries)
     except OSError:
         return 0
+
+
+def _session_survivors(session: int) -> list:
+    """Pids of the running processes of ``session`` (zombies do not count)."""
+    survivors = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/{}/stat".format(entry)) as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        state, process_session = fields[0], int(fields[3])
+        if process_session == session and state != "Z":
+            survivors.append(int(entry))
+    return survivors
 
 
 def _projection(report: dict) -> dict:
@@ -127,6 +147,7 @@ def main(argv=None) -> int:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         killed = False
         deadline = time.time() + 600.0
@@ -150,6 +171,18 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
+        # Before the journal is read: orphaned workers would still hold its
+        # lock if the coordinator died inside an append.
+        orphan_deadline = time.time() + 2.0
+        survivors = _session_survivors(victim.pid)
+        while survivors and time.time() < orphan_deadline:
+            time.sleep(0.05)
+            survivors = _session_survivors(victim.pid)
+        if survivors:
+            print("[kill_and_resume] FAIL: processes {} outlived the killed coordinator "
+                  "by 2 s".format(survivors))
+            os.killpg(victim.pid, signal.SIGKILL)
+            return 1
         committed = _journal_records(journal_path)
         print("[kill_and_resume] SIGKILLed coordinator with {} records committed".format(committed))
 

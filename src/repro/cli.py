@@ -23,8 +23,8 @@ checks the file on ``N`` supervised worker processes, and alpha-equivalent
 entailments (same problem up to variable renaming and conjunct order) are
 proved once and answered from the proof cache afterwards — disable that with
 ``--no-cache``.  Budgets: ``--timeout SECONDS`` bounds each instance
-(exceeded instances report ``timeout``; ``--grace`` scales the hard watchdog
-that reclaims a worker ignoring its budget) and ``--max-memory MB`` caps each
+(exceeded instances report ``timeout``; a hard watchdog reclaims a worker
+that ignores its budget for twice as long) and ``--max-memory MB`` caps each
 worker's address space (exceeded instances report ``oom``).  A worker crash
 is retried up to ``--retries`` times; a task that keeps failing reports
 ``crashed``.  Output lines always appear in input order, whatever the
@@ -53,7 +53,7 @@ checking a file (see :mod:`repro.fuzz.cli`)::
     $ slp fuzz --seed 0 --iterations 200 --jobs 4
 
 The ``serve`` subcommand starts a persistent entailment service — warm
-worker pool plus sharded on-disk proof store, spoken to over HTTP/JSON
+worker pool plus on-disk proof store, spoken to over HTTP/JSON
 (see :mod:`repro.server`)::
 
     $ slp serve --port 8080 --jobs 4 --store proofs.store
@@ -114,7 +114,9 @@ def _print_cache_summary(stats) -> None:
     )
 
 
-def _print_failure_summary(timed_out: int, oom: int, crashed: int) -> None:
+def _print_failure_summary(timed_out: int, oom: int, crashed: int, stats) -> None:
+    """The ``failures:`` line on standard error, when any instance failed;
+    ``stats`` supplies the batch's retry and respawn counts."""
     summary = []
     if timed_out:
         summary.append("{} timed out".format(timed_out))
@@ -122,8 +124,13 @@ def _print_failure_summary(timed_out: int, oom: int, crashed: int) -> None:
         summary.append("{} out of memory".format(oom))
     if crashed:
         summary.append("{} crashed/quarantined".format(crashed))
-    if summary:
-        print("failures: {}".format("; ".join(summary)), file=sys.stderr)
+    if not summary:
+        return
+    if stats.retried or stats.respawned_workers:
+        summary.append(
+            "{} retries, {} workers respawned".format(stats.retried, stats.respawned_workers)
+        )
+    print("failures: {}".format("; ".join(summary)), file=sys.stderr)
 
 
 def _run_checkpointed(arguments, parsed, config, workload_digest: str) -> int:
@@ -181,11 +188,7 @@ def _run_checkpointed(arguments, parsed, config, workload_digest: str) -> int:
     )
     try:
         with BatchProver(
-            config,
-            jobs=arguments.jobs,
-            cache=cache,
-            retries=arguments.retries,
-            grace_factor=arguments.grace,
+            config, jobs=arguments.jobs, cache=cache, retries=arguments.retries
         ) as batch:
             indices = [index for index, _ in pending]
             for position, outcome in batch.iter_results(
@@ -217,7 +220,7 @@ def _run_checkpointed(arguments, parsed, config, workload_digest: str) -> int:
     timed_out = counted.count("timeout")
     oom = counted.count("oom")
     crashed = counted.count("crashed")
-    _print_failure_summary(timed_out, oom, crashed)
+    _print_failure_summary(timed_out, oom, crashed, stats)
     if cache is not False:
         _print_cache_summary(stats)
     return 3 if (oom or crashed) else 0
@@ -277,14 +280,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         " (slp only; default 2)",
     )
     parser.add_argument(
-        "--grace",
-        type=float,
-        default=2.0,
-        metavar="FACTOR",
-        help="hard watchdog factor: kill a worker holding one instance longer than"
-        " timeout*FACTOR (slp only; default 2.0)",
-    )
-    parser.add_argument(
         "--max-memory",
         type=int,
         default=None,
@@ -332,20 +327,17 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         parser.error("--jobs must be at least 1")
     if arguments.retries < 0:
         parser.error("--retries must be >= 0")
-    if arguments.grace < 1.0:
-        parser.error("--grace must be >= 1.0")
     if arguments.prover != "slp" and (
         arguments.jobs != 1
         or arguments.no_cache
         or arguments.timeout is not None
         or arguments.max_memory is not None
         or arguments.retries != 2
-        or arguments.grace != 2.0
         or arguments.store is not None
         or arguments.run_dir is not None
     ):
         parser.error(
-            "--jobs/--no-cache/--timeout/--retries/--grace/--max-memory/--store/--run-dir"
+            "--jobs/--no-cache/--timeout/--retries/--max-memory/--store/--run-dir"
             " are only supported by the slp prover"
         )
     if arguments.resume and arguments.run_dir is None:
@@ -404,11 +396,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         # so the close lives in a ``finally`` rather than on the happy path.
         try:
             with BatchProver(
-                config,
-                jobs=arguments.jobs,
-                cache=cache,
-                retries=arguments.retries,
-                grace_factor=arguments.grace,
+                config, jobs=arguments.jobs, cache=cache, retries=arguments.retries
             ) as batch:
                 results = batch.iter_ordered(entailments)
                 for line, entailment in parsed:
@@ -434,21 +422,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         finally:
             if arguments.store is not None:
                 cache.close()
-        if stats.failed:
-            summary = []
-            if stats.timed_out:
-                summary.append("{} timed out".format(stats.timed_out))
-            if stats.oom:
-                summary.append("{} out of memory".format(stats.oom))
-            if stats.quarantined:
-                summary.append("{} crashed/quarantined".format(stats.quarantined))
-            if stats.retried or stats.respawned_workers:
-                summary.append(
-                    "{} retries, {} workers respawned".format(
-                        stats.retried, stats.respawned_workers
-                    )
-                )
-            print("failures: {}".format("; ".join(summary)), file=sys.stderr)
+        _print_failure_summary(stats.timed_out, stats.oom, stats.quarantined, stats)
         if not arguments.no_cache:
             _print_cache_summary(stats)
         # Timeouts are an honest "undecided within budget" and keep exit 0;

@@ -35,7 +35,7 @@ not poison its copies — they are re-dispatched independently.
 Budgets are enforced for real.  ``ProverConfig.max_seconds`` is threaded
 into the saturation inner loop (cooperative, fires within one inference
 step); the coordinator additionally arms a **hard watchdog** that kills any
-worker holding a task past ``max_seconds * grace_factor``, which is what
+worker holding a task past ``max_seconds * GRACE_FACTOR``, which is what
 catches a worker that stopped executing Python (native hang, pathological
 GC).  ``ProverConfig.max_memory_mb`` applies ``RLIMIT_AS`` in each worker,
 converting memory blow-ups into structured ``oom`` failures instead of
@@ -82,6 +82,11 @@ BatchOutcome = Union[ProofResult, FailureInfo]
 #: Errors that mean "no worker pool on this platform" (sandboxes, exotic
 #: interpreters); the engine degrades to in-process execution, once, quietly.
 _POOL_UNAVAILABLE_ERRORS = (OSError, ValueError, ImportError, PermissionError)
+
+#: The hard watchdog kills a worker holding one task longer than
+#: ``max_seconds * GRACE_FACTOR``: the headroom the cooperative deadline gets
+#: before the coordinator stops trusting the worker to enforce its own budget.
+GRACE_FACTOR = 2.0
 
 
 def default_jobs() -> int:
@@ -332,11 +337,6 @@ class BatchProver:
         Applies to worker deaths and in-task exceptions, not to timeouts or
         OOMs, which are deterministic properties of the instance under its
         budget.
-    grace_factor:
-        The hard watchdog kills a worker holding one task longer than
-        ``max_seconds * grace_factor`` — the headroom the cooperative
-        deadline gets before the coordinator stops trusting the worker to
-        enforce its own budget.  No ``max_seconds`` means no watchdog.
     fault_plan:
         A :class:`~repro.core.faults.FaultPlan` to disturb this batch with
         (chaos testing).  ``None`` reads ``SLP_FAULT_PLAN`` from the
@@ -354,15 +354,12 @@ class BatchProver:
         jobs: int = 1,
         cache: Union[bool, ProofCache, None] = True,
         retries: int = 2,
-        grace_factor: float = 2.0,
         fault_plan: Optional[FaultPlan] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if grace_factor < 1.0:
-            raise ValueError("grace_factor must be >= 1.0 (the watchdog must not fire first)")
         self.config = config if config is not None else ProverConfig()
         self.jobs = jobs
         if cache is True:
@@ -372,7 +369,6 @@ class BatchProver:
         else:
             self.cache = cache
         self.retries = retries
-        self.grace_factor = grace_factor
         self.statistics = BatchStatistics(jobs=jobs)
         self._stats_lock = threading.Lock()
         self._fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
@@ -385,7 +381,7 @@ class BatchProver:
     def _task_timeout(self) -> Optional[float]:
         if self.config.max_seconds is None:
             return None
-        return self.config.max_seconds * self.grace_factor
+        return self.config.max_seconds * GRACE_FACTOR
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

@@ -44,7 +44,7 @@ from repro.core.faults import DiskFaultPlan
 from repro.core.proof import Proof, ProofStep
 from repro.core.prover import Prover
 from repro.core.result import ProofResult, Verdict
-from repro.core.store import ProofStore, ShardedProofStore
+from repro.core.store import ProofStore
 from repro.logic.canonical import CanonicalForm, TooSymmetricError, canonicalize
 from repro.logic.formula import Entailment
 from repro.logic.terms import Const
@@ -336,33 +336,16 @@ class PersistentProofCache(ProofCache):
     cache, so every store failure is absorbed: persist errors (ENOSPC, torn
     writes, a retired handle) are counted in :attr:`persist_errors` and the
     entry simply stays memory-only; damaged records read back as misses.
-
-    ``shards > 1`` switches the disk tier to a
-    :class:`~repro.core.store.ShardedProofStore`: N store files routed by
-    fingerprint digest, each with its own sidecar lock, so concurrent
-    processes sharing the path don't serialise on one advisory lock.  The
-    server runs this way; the single-file layout (``shards=1``, the default)
-    stays bit-compatible with every existing store on disk.
     """
 
     def __init__(
         self,
         path: str,
         max_entries: int = 4096,
-        fsync: bool = True,
         fault_plan: Optional[DiskFaultPlan] = None,
-        store: Optional[ProofStore] = None,
-        shards: int = 1,
     ):
         super().__init__(max_entries=max_entries)
-        if store is not None:
-            self.disk = store
-        elif shards > 1:
-            self.disk = ShardedProofStore(
-                path, shards=shards, fsync=fsync, fault_plan=fault_plan
-            )
-        else:
-            self.disk = ProofStore(path, fsync=fsync, fault_plan=fault_plan)
+        self.disk = ProofStore(path, fault_plan=fault_plan)
         self.persist_errors = 0
 
     def _fetch_second_tier(self, key: tuple) -> Optional[_CacheEntry]:

@@ -44,9 +44,12 @@ therefore share one store: each sees the others' appends on its next refresh,
 and recovery/compaction are serialised.  On platforms without :mod:`fcntl`
 the locks degrade to no-ops (single-process use stays correct).
 
+**Durability**: every append, truncation and rebuild is ``fsync``\\ ed before
+it counts as done.
+
 **Compaction**: updated keys leave dead records behind; when the dead ratio
-passes a threshold the store rewrites live records into a temp file and
-atomically ``os.replace``\\ s it over the old one.
+passes :data:`COMPACT_DEAD_RATIO` the store rewrites live records into a temp
+file and atomically ``os.replace``\\ s it over the old one.
 
 **Chaos**: a :class:`~repro.core.faults.DiskFaultPlan` (or the
 ``SLP_DISK_FAULT_PLAN`` environment variable) disturbs appends with
@@ -98,6 +101,13 @@ _FRAME_SIZE = _FRAME_STRUCT.size
 _MAX_PAYLOAD = 64 * 1024 * 1024
 
 _ZERO_DIGEST = b"\x00" * 16
+
+#: Compaction thresholds: a :meth:`ProofStore.put` that leaves at least
+#: ``COMPACT_MIN_RECORDS`` records, of which at least ``COMPACT_DEAD_RATIO``
+#: are superseded, rewrites the store.  Read when used, so a test can
+#: monkeypatch them.
+COMPACT_DEAD_RATIO = 0.5
+COMPACT_MIN_RECORDS = 64
 
 
 class JournalMismatch(ValueError):
@@ -264,11 +274,9 @@ class _RecordFile:
     def __init__(
         self,
         path: str,
-        fsync: bool = True,
         fault_plan: Optional[DiskFaultPlan] = None,
     ):
         self.path = path
-        self.fsync = fsync
         self.statistics = StoreStatistics()
         self._fault_plan = fault_plan if fault_plan is not None else DiskFaultPlan.from_env()
         self._operation = 0  # append counter the fault plan indexes
@@ -292,8 +300,7 @@ class _RecordFile:
         if self._fd is not None:
             try:
                 self._fd.flush()
-                if self.fsync:
-                    os.fsync(self._fd.fileno())
+                os.fsync(self._fd.fileno())
             except (OSError, ValueError):
                 pass
             try:
@@ -323,8 +330,7 @@ class _RecordFile:
         fd = open(self.path, "w+b")
         fd.write(self._header_bytes())
         fd.flush()
-        if self.fsync:
-            os.fsync(fd.fileno())
+        os.fsync(fd.fileno())
         self._adopt(fd, _HEADER_SIZE)
         self._on_reset()
 
@@ -384,8 +390,7 @@ class _RecordFile:
             # Torn tail: everything before the damage is intact; cut the tear.
             fd.truncate(scan.damage_offset)
             fd.flush()
-            if self.fsync:
-                os.fsync(fd.fileno())
+            os.fsync(fd.fileno())
             self.statistics.torn_truncations += 1
             self._adopt(fd, scan.damage_offset)
             self._on_reset()
@@ -419,8 +424,7 @@ class _RecordFile:
             self._on_record(digest, offset, offset + len(framed), payload)
             offset += len(framed)
         rebuilt.flush()
-        if self.fsync:
-            os.fsync(rebuilt.fileno())
+        os.fsync(rebuilt.fileno())
         self._adopt(rebuilt, offset)
 
     # -- subclass hooks ----------------------------------------------------
@@ -521,8 +525,7 @@ class _RecordFile:
             self._fd.seek(start)
             self._fd.write(framed)
             self._fd.flush()
-            if self.fsync:
-                os.fsync(self._fd.fileno())
+            os.fsync(self._fd.fileno())
         except OSError:
             self.statistics.append_errors += 1
             try:  # undo the partial append so the file stays clean
@@ -587,21 +590,10 @@ class ProofStore(_RecordFile):
 
     _FILE_KIND = _KIND_PROOF_STORE
 
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = True,
-        compact_dead_ratio: float = 0.5,
-        compact_min_records: int = 64,
-        fault_plan: Optional[DiskFaultPlan] = None,
-    ):
-        if not 0.0 < compact_dead_ratio <= 1.0:
-            raise ValueError("compact_dead_ratio must be in (0, 1]")
-        self.compact_dead_ratio = compact_dead_ratio
-        self.compact_min_records = compact_min_records
+    def __init__(self, path: str, fault_plan: Optional[DiskFaultPlan] = None):
         self._index: Dict[bytes, Tuple[int, int]] = {}
         self._records = 0
-        super().__init__(path, fsync=fsync, fault_plan=fault_plan)
+        super().__init__(path, fault_plan=fault_plan)
 
     # -- framing hooks -----------------------------------------------------
     def _on_reset(self) -> None:
@@ -673,18 +665,10 @@ class ProofStore(_RecordFile):
         digest = _key_digest(key)
         with _Locked(self._lock, exclusive=True):
             offset, end = self._append_locked(digest, payload)
-            if digest in self._index:
-                # _append_locked's refresh already indexed nothing new for
-                # this digest unless another process wrote it; either way the
-                # fresh record supersedes it.
-                self._records += 1
-                self._index[digest] = (offset, end)
-            else:
-                self._records += 1
-                self._index[digest] = (offset, end)
+            self._on_record(digest, offset, end, payload)  # supersedes older records
             if (
-                self._records >= self.compact_min_records
-                and self.dead_records / self._records >= self.compact_dead_ratio
+                self._records >= COMPACT_MIN_RECORDS
+                and self.dead_records / self._records >= COMPACT_DEAD_RATIO
             ):
                 self._compact_locked()
 
@@ -732,120 +716,6 @@ class ProofStore(_RecordFile):
 
 
 # ---------------------------------------------------------------------------
-# The sharded proof store.
-# ---------------------------------------------------------------------------
-
-
-class ShardedProofStore:
-    """N :class:`ProofStore` files behind one store interface.
-
-    Keys are routed by the first byte of their 16-byte fingerprint digest
-    (``digest[0] % shards``) — digests are uniform, so shards stay balanced.
-    Each shard is a complete, independently crash-safe :class:`ProofStore`
-    with its **own sidecar lock**, which is the point: concurrent writers
-    (several server processes over one store, a campaign running next to a
-    live service) only serialise when they touch the *same* shard, instead
-    of queueing on one global advisory lock, and a compaction pause stalls
-    1/N of the key space instead of all of it.
-
-    Shard files live at ``<path>.shard-K-of-N``.  The shard count is part of
-    the layout: reopening with a different ``shards`` routes keys to
-    different files, which degrades to misses (stores never return wrong
-    answers — every lookup verifies the full key) but wastes the warm state;
-    keep the count stable for a given path.  ``shards=1`` still uses the
-    sharded layout so the count can be raised later without aliasing the
-    unsharded ``<path>`` file.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        shards: int = 4,
-        fsync: bool = True,
-        compact_dead_ratio: float = 0.5,
-        compact_min_records: int = 64,
-        fault_plan: Optional[DiskFaultPlan] = None,
-    ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.path = path
-        self._shards: Tuple[ProofStore, ...] = tuple(
-            ProofStore(
-                self.shard_path(path, index, shards),
-                fsync=fsync,
-                compact_dead_ratio=compact_dead_ratio,
-                compact_min_records=compact_min_records,
-                fault_plan=fault_plan,
-            )
-            for index in range(shards)
-        )
-
-    @staticmethod
-    def shard_path(path: str, index: int, count: int) -> str:
-        return "{}.shard-{}-of-{}".format(path, index, count)
-
-    @property
-    def shards(self) -> Tuple[ProofStore, ...]:
-        return self._shards
-
-    def _shard_for(self, key: Any) -> ProofStore:
-        return self._shards[_key_digest(key)[0] % len(self._shards)]
-
-    # -- the ProofStore surface the caching tier drives --------------------
-    def get(self, key: Any) -> Optional[Tuple[Any, ...]]:
-        return self._shard_for(key).get(key)
-
-    def put(
-        self,
-        key: Any,
-        verdict_value: str,
-        proof: Any,
-        counterexample: Any,
-        statistics: Any,
-    ) -> None:
-        self._shard_for(key).put(key, verdict_value, proof, counterexample, statistics)
-
-    def refresh(self) -> None:
-        for shard in self._shards:
-            shard.refresh()
-
-    def compact(self) -> None:
-        for shard in self._shards:
-            shard.compact()
-
-    def close(self) -> None:
-        for shard in self._shards:
-            shard.close()
-
-    def __enter__(self) -> "ShardedProofStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- introspection -----------------------------------------------------
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def keys_on_disk(self) -> int:
-        return sum(shard.keys_on_disk() for shard in self._shards)
-
-    @property
-    def broken(self) -> bool:
-        """True when *every* shard's handle was retired (all writes fail)."""
-        return all(shard.broken for shard in self._shards)
-
-    @property
-    def statistics(self) -> StoreStatistics:
-        """Counters aggregated over all shards (a fresh snapshot each read)."""
-        total = StoreStatistics()
-        for shard in self._shards:
-            for name, value in shard.statistics.to_json().items():
-                setattr(total, name, getattr(total, name) + value)
-        return total
-
-
-# ---------------------------------------------------------------------------
 # The run journal.
 # ---------------------------------------------------------------------------
 
@@ -882,14 +752,9 @@ class RunJournal(_RecordFile):
 
     _FILE_KIND = _KIND_RUN_JOURNAL
 
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = True,
-        fault_plan: Optional[DiskFaultPlan] = None,
-    ):
+    def __init__(self, path: str, fault_plan: Optional[DiskFaultPlan] = None):
         self._entries: List[Dict[str, Any]] = []
-        super().__init__(path, fsync=fsync, fault_plan=fault_plan)
+        super().__init__(path, fault_plan=fault_plan)
 
     def _on_reset(self) -> None:
         self._entries = []
@@ -923,7 +788,6 @@ class RunJournal(_RecordFile):
         path: str,
         meta: Dict[str, Any],
         resume: bool,
-        fsync: bool = True,
         fault_plan: Optional[DiskFaultPlan] = None,
     ) -> Tuple["RunJournal", List[Dict[str, Any]]]:
         """Open (or start) a checkpointed run; returns ``(journal, completed)``.
@@ -937,7 +801,7 @@ class RunJournal(_RecordFile):
         ``resume=True`` or use a new directory; silently discarding finished
         work would be worse than either).
         """
-        journal = cls(path, fsync=fsync, fault_plan=fault_plan)
+        journal = cls(path, fault_plan=fault_plan)
         entries = journal.entries
         if not resume:
             if entries:

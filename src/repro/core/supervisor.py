@@ -16,7 +16,8 @@ one still queued.
 
 * **Liveness** — the reactor waits on every worker pipe at once
   (:func:`multiprocessing.connection.wait`); a dead worker surfaces as EOF the
-  moment the kernel closes its end, not after a join timeout expires.
+  moment the kernel closes its end, not after a join timeout expires.  The
+  other way round, a worker whose coordinator died exits on its own.
 * **Retry** — a task whose worker died is re-dispatched to a respawned worker
   with capped exponential backoff (:func:`backoff_seconds`).  A task that
   keeps killing workers is *quarantined* after ``retries`` re-dispatches and
@@ -59,6 +60,7 @@ import itertools
 import multiprocessing
 import os
 import queue
+import select
 import socket
 import threading
 import time
@@ -98,6 +100,10 @@ ACK_TIMEOUT = 5.0
 #: or it is killed and respawned.  A child wedged during initialisation
 #: otherwise sits there forever: never ready, never EOF, starving dispatch.
 INIT_TIMEOUT = 60.0
+
+#: How often a worker without pidfds (not Linux >= 5.3) checks that its
+#: coordinator is still alive.
+_PARENT_POLL_SECONDS = 0.25
 
 
 def backoff_seconds(attempt: int) -> float:
@@ -174,7 +180,31 @@ class FailureInfo:
 # ---------------------------------------------------------------------------
 
 
-def _worker_loop(conn, initializer, init_args) -> None:
+def _exit_with_coordinator(coordinator: int) -> None:
+    """A worker's watch thread: end the process once the coordinator is gone.
+
+    EOF on the pipe cannot say so: a forked worker inherits coordinator-side
+    pipe ends (its own, and those of the workers forked before it), and a
+    worker inside a task does not read.  The thread blocks in one ``poll`` on
+    a pidfd of the coordinator, which turns readable when it exits: no
+    wake-up before that, so it never takes the GIL from a running task.
+    Without pidfds it polls the parent pid instead (a dead coordinator's
+    children are re-parented, so the parent pid changes).
+    """
+    try:
+        pidfd = os.pidfd_open(coordinator)
+    except (AttributeError, OSError):
+        while os.getppid() == coordinator:
+            time.sleep(_PARENT_POLL_SECONDS)
+    else:
+        if os.getppid() == coordinator:  # else the pid may be a stranger's
+            watch = select.poll()
+            watch.register(pidfd, select.POLLIN)
+            watch.poll()
+    os._exit(1)
+
+
+def _worker_loop(conn, initializer, init_args, coordinator: int) -> None:
     """Body of one worker process.
 
     Protocol (worker's view): send ``("ready", pid)`` once initialised, then
@@ -182,8 +212,12 @@ def _worker_loop(conn, initializer, init_args) -> None:
     shutdown sentinel, ack ``("started", task_id)``, run the task, reply
     ``("result", task_id, status, body)``.  Initialisation failure sends
     ``("init_error", detail)`` and exits, so the coordinator can tell a
-    broken environment from a crash.
+    broken environment from a crash.  The process exits on its own once the
+    coordinator dies, also mid-task.
     """
+    threading.Thread(
+        target=_exit_with_coordinator, args=(coordinator,), name="slp-worker-watch", daemon=True
+    ).start()
     try:
         task_fn = initializer(*init_args)
     except BaseException as exc:
@@ -414,7 +448,7 @@ class SupervisedPool:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_loop,
-            args=(child_conn, self.initializer, self.init_args),
+            args=(child_conn, self.initializer, self.init_args, os.getpid()),
             daemon=True,
         )
         process.start()

@@ -54,16 +54,6 @@ class PureLiteral:
         return PureLiteral(self.atom, not self.positive)
 
     @property
-    def is_equality(self) -> bool:
-        """True for ``x = y`` literals."""
-        return self.positive
-
-    @property
-    def is_disequality(self) -> bool:
-        """True for ``x != y`` literals."""
-        return not self.positive
-
-    @property
     def is_contradictory(self) -> bool:
         """True for literals of the form ``x != x`` (never satisfiable)."""
         return not self.positive and self.atom.is_trivial

@@ -29,11 +29,6 @@ def format_atom(atom: EqAtom) -> str:
     return "{} = {}".format(atom.left, atom.right)
 
 
-def format_pure_literal(literal: PureLiteral) -> str:
-    """Render a pure literal with its polarity."""
-    return str(literal)
-
-
 def format_atom_set(atoms: Iterable[EqAtom]) -> str:
     """Render a set of pure atoms as a comma separated list (sorted for stability)."""
     rendered = sorted(format_atom(atom) for atom in atoms)

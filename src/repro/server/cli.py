@@ -1,12 +1,12 @@
 """``slp serve`` — boot the entailment service and run until signalled.
 
 The subcommand wires a :class:`~repro.server.service.ProofService` (warm
-pool + optionally persistent, sharded proof store) into a
+pool + optionally persistent proof store) into a
 :class:`~repro.server.http.ProofServer` and blocks until ``SIGINT`` or
 ``SIGTERM``.  Shutdown is graceful in two stages: the listener stops
 accepting and in-flight connections finish, then the service drains its
-queue and closes the pool and every store shard — accepted work is always
-answered, and the advisory store locks are always released.
+queue and closes the pool and the store — accepted work is always answered,
+and the advisory store lock is always released.
 
 The listening address is announced on standard error as::
 
@@ -29,7 +29,6 @@ from repro.server.http import ProofServer
 from repro.server.service import (
     DEFAULT_MAX_QUEUE_ENTAILMENTS,
     DEFAULT_MAX_QUEUE_REQUESTS,
-    DEFAULT_SHARDS,
     ProofService,
 )
 
@@ -61,14 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store",
         metavar="PATH",
         default=None,
-        help="back the proof cache with a persistent sharded store at PATH",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=DEFAULT_SHARDS,
-        metavar="N",
-        help="store files to shard the persistent cache over (default {})".format(DEFAULT_SHARDS),
+        help="back the proof cache with a persistent store at PATH",
     )
     parser.add_argument(
         "--timeout",
@@ -91,26 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="crash retries before a task is quarantined (default 2)",
-    )
-    parser.add_argument(
-        "--grace",
-        type=float,
-        default=2.0,
-        metavar="FACTOR",
-        help="hard-watchdog budget as a multiple of --timeout (default 2.0)",
-    )
-    parser.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip per-record fsync in the store (faster, loses crash-durability)",
-    )
-    parser.add_argument(
-        "--lanes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="dispatcher lanes consuming the queue concurrently"
-        " (default min(jobs, 4); >1 interleaves batches per-task in the pool)",
     )
     parser.add_argument(
         "--max-queue-requests",
@@ -152,14 +124,8 @@ def serve_main(argv: Optional[Iterable[str]] = None) -> int:
     if arguments.jobs < 1:
         print("slp serve: --jobs must be at least 1", file=sys.stderr)
         return 2
-    if arguments.shards < 1:
-        print("slp serve: --shards must be at least 1", file=sys.stderr)
-        return 2
     if arguments.timeout <= 0:
         print("slp serve: --timeout must be positive", file=sys.stderr)
-        return 2
-    if arguments.lanes is not None and arguments.lanes < 1:
-        print("slp serve: --lanes must be at least 1", file=sys.stderr)
         return 2
     if arguments.max_queue_requests < 1 or arguments.max_queue_entailments < 1:
         print("slp serve: queue caps must be at least 1", file=sys.stderr)
@@ -169,12 +135,8 @@ def serve_main(argv: Optional[Iterable[str]] = None) -> int:
         config,
         jobs=arguments.jobs,
         store_path=arguments.store,
-        shards=arguments.shards,
         cache_entries=arguments.cache_entries,
         retries=arguments.retries,
-        grace_factor=arguments.grace,
-        fsync=not arguments.no_fsync,
-        lanes=arguments.lanes,
         max_queue_requests=arguments.max_queue_requests,
         max_queue_entailments=arguments.max_queue_entailments,
     )
@@ -183,7 +145,7 @@ def serve_main(argv: Optional[Iterable[str]] = None) -> int:
     def announce(bound: ProofServer) -> None:
         details: List[str] = ["jobs={}".format(arguments.jobs), "lanes={}".format(service.lanes)]
         if arguments.store is not None:
-            details.append("store={} ({} shards)".format(arguments.store, arguments.shards))
+            details.append("store={}".format(arguments.store))
         print(
             "slp serve: listening on http://{}:{} [{}]".format(
                 bound.host, bound.port, ", ".join(details)
@@ -195,7 +157,7 @@ def serve_main(argv: Optional[Iterable[str]] = None) -> int:
     try:
         asyncio.run(_run(server, announce))
     finally:
-        service.close()  # drains the queue, releases pool + store shards
+        service.close()  # drains the queue, releases pool + store
     print("slp serve: stopped", file=sys.stderr, flush=True)
     return 0
 

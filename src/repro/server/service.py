@@ -2,8 +2,8 @@
 
 :class:`ProofService` owns the state that makes the server worth running —
 one :class:`~repro.core.batch.BatchProver` whose worker pool stays warm and
-whose cache (optionally a sharded :class:`~repro.core.cache.
-PersistentProofCache`) accumulates across requests — and exposes exactly one
+whose cache (optionally a :class:`~repro.core.cache.PersistentProofCache`)
+accumulates across requests — and exposes exactly one
 entry point, :meth:`ProofService.submit`, which enqueues a request and
 returns a :class:`concurrent.futures.Future`.
 
@@ -22,11 +22,11 @@ The service is built to *degrade gracefully* under any offered load:
   (``expired_in_queue``); one that waited part of its budget runs with only
   the remainder.  Cancelled futures (client gone) are dropped before
   dispatch and counted (``cancelled``).
-* **Dispatcher lanes** — ``lanes`` threads (default ``min(jobs, 4)``)
-  consume the one priority queue concurrently and run their batches on the
-  one thread-safe batch prover, so a 200-entailment batch does not
-  head-of-line block a 1-entailment priority request: tasks from all lanes
-  interleave per task in the pool's reactor, ranked by request priority.
+* **Dispatcher lanes** — ``min(jobs, 4)`` threads consume the one priority
+  queue concurrently and run their batches on the one thread-safe batch
+  prover, so a 200-entailment batch does not head-of-line block a
+  1-entailment priority request: tasks from all lanes interleave per task in
+  the pool's reactor, ranked by request priority.
 * **A health state machine** — :meth:`health` reports
   ``healthy | degraded | overloaded | draining`` so pollers and routers can
   steer before the cliff, not after.
@@ -35,7 +35,7 @@ Priority entries sort as ``(0, -priority, seq)``: higher ``priority``
 first, FIFO within a priority class.  The shutdown sentinels rank as
 ``(1, ...)`` — after *every* real entry — which is what makes
 :meth:`close` a drain: work accepted before shutdown is finished and
-answered, then the pool and every store shard are released.
+answered, then the pool and the store are released.
 
 Per-request ``timeout`` rides the batch layer's per-task overrides.  The
 pool watchdog stays derived from the *configured* ``max_seconds`` (it is a
@@ -58,19 +58,15 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.core.batch import BatchOutcome, BatchProver, FailureInfo
 from repro.core.cache import PersistentProofCache, ProofCache
 from repro.core.config import ProverConfig
-from repro.core.store import ShardedProofStore
 from repro.logic.formula import Entailment
 
 __all__ = [
     "ProofService",
     "ServiceClosed",
     "ServiceOverloaded",
-    "DEFAULT_SHARDS",
     "DEFAULT_MAX_QUEUE_REQUESTS",
     "DEFAULT_MAX_QUEUE_ENTAILMENTS",
 ]
-
-DEFAULT_SHARDS = 4
 
 #: Default admission caps.  Sized so a full queue of typical requests fits
 #: comfortably in memory and drains within tens of seconds on a warm pool;
@@ -167,14 +163,6 @@ class ProofService:
     store_path:
         Back the cache with a persistent store at this path; ``None`` keeps
         the cache memory-only (still warm across requests, lost on exit).
-    shards:
-        Store files to split the persistent tier over (ignored without
-        ``store_path``).  Values > 1 use a :class:`ShardedProofStore` so
-        concurrent processes sharing the path lock per shard, not globally.
-    lanes:
-        Dispatcher threads consuming the queue (default ``min(jobs, 4)``).
-        Each runs its request as one batch on the shared batch prover,
-        whose pool interleaves the tasks of concurrent batches by priority.
     max_queue_requests / max_queue_entailments:
         Admission high-water marks.  A submission that would push either
         counter past its cap is refused with :class:`ServiceOverloaded`.
@@ -190,38 +178,22 @@ class ProofService:
         config: Optional[ProverConfig] = None,
         jobs: int = 1,
         store_path: Optional[str] = None,
-        shards: int = DEFAULT_SHARDS,
         cache_entries: int = 4096,
         retries: int = 2,
-        grace_factor: float = 2.0,
-        fsync: bool = True,
-        lanes: Optional[int] = None,
         max_queue_requests: int = DEFAULT_MAX_QUEUE_REQUESTS,
         max_queue_entailments: int = DEFAULT_MAX_QUEUE_ENTAILMENTS,
     ):
-        if lanes is None:
-            lanes = min(max(1, jobs), 4)
-        if lanes < 1:
-            raise ValueError("lanes must be at least 1")
         if max_queue_requests < 1 or max_queue_entailments < 1:
             raise ValueError("queue caps must be positive")
         self.config = config if config is not None else ProverConfig(record_proof=False)
-        self.lanes = lanes
+        self.lanes = min(max(1, jobs), 4)  # dispatcher threads
         self.max_queue_requests = max_queue_requests
         self.max_queue_entailments = max_queue_entailments
         if store_path is not None:
-            cache: ProofCache = PersistentProofCache(
-                store_path, max_entries=cache_entries, fsync=fsync, shards=shards
-            )
+            cache: ProofCache = PersistentProofCache(store_path, max_entries=cache_entries)
         else:
             cache = ProofCache(max_entries=cache_entries)
-        self.batch = BatchProver(
-            self.config,
-            jobs=jobs,
-            cache=cache,
-            retries=retries,
-            grace_factor=grace_factor,
-        )
+        self.batch = BatchProver(self.config, jobs=jobs, cache=cache, retries=retries)
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._sequence = itertools.count()
         self._lock = threading.Lock()
@@ -247,7 +219,7 @@ class ProofService:
         self._started_at = time.monotonic()
         self._closed = False
         self._lane_threads: List[threading.Thread] = []
-        for lane in range(lanes):
+        for lane in range(self.lanes):
             thread = threading.Thread(
                 target=self._dispatch_loop,
                 name="slp-serve-lane-{}".format(lane),
@@ -539,16 +511,12 @@ class ProofService:
                 "records_live": len(disk),
             }
             store.update(disk.statistics.to_json())
-            if isinstance(disk, ShardedProofStore):
-                store["shards"] = len(disk.shards)
-            else:
-                store["shards"] = 1
             snapshot["store"] = store
         return snapshot
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Drain the queue, then release the pool and every store shard.
+        """Drain the queue, then release the pool and the store.
 
         Everything accepted by :meth:`submit` before the call is answered
         (the sentinels sort after all real entries, one per lane); new

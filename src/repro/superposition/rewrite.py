@@ -14,7 +14,7 @@ function makes it trivially confluent.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.logic.atoms import EqAtom
 from repro.logic.clauses import Clause
@@ -157,21 +157,6 @@ class RewriteRelation:
         cache[constant] = current
         return current
 
-    def rewrite_path(self, constant: Const) -> List[Const]:
-        """The full rewrite sequence ``constant => ... => normal form``."""
-        path = [constant]
-        seen = {constant}
-        current = constant
-        while current in self._edges:
-            current = self._edges[current]
-            if current in seen:
-                raise RewriteCycleError(
-                    "cycle detected while normalising {}".format(constant)
-                )
-            seen.add(current)
-            path.append(current)
-        return path
-
     def equivalent(self, left: Const, right: Const) -> bool:
         """True when the two constants have the same normal form."""
         # Constants are truthy, so ``or`` falls through to the full chase
@@ -180,18 +165,6 @@ class RewriteRelation:
         return (cached(left) or self.normal_form(left)) == (
             cached(right) or self.normal_form(right)
         )
-
-    def normal_form_snapshot(self, constants: Iterable[Const]) -> Dict[Const, Const]:
-        """The normal form of every given constant, as one dictionary.
-
-        Unlike :meth:`substitution` this includes the irreducible constants
-        too — the result is a total snapshot of how the relation interprets
-        the given vocabulary.  The incremental model generator diffs two such
-        snapshots to find which constants (and hence which clauses) a change
-        of the edge set actually affected.
-        """
-        normal_form = self.normal_form
-        return {constant: normal_form(constant) for constant in constants}
 
     def substitution(self, constants: Iterable[Const]) -> Dict[Const, Const]:
         """The substitution mapping each given constant to its normal form.
@@ -204,13 +177,6 @@ class RewriteRelation:
             if normal != constant:
                 result[constant] = normal
         return result
-
-    def equivalence_classes(self, constants: Iterable[Const]) -> Dict[Const, FrozenSet[Const]]:
-        """Group the given constants by normal form."""
-        groups: Dict[Const, set] = {}
-        for constant in constants:
-            groups.setdefault(self.normal_form(constant), set()).add(constant)
-        return {normal: frozenset(members) for normal, members in groups.items()}
 
     # -- satisfaction (the |~ relation of the paper) -------------------------
     def satisfies_atom(self, atom: EqAtom) -> bool:
@@ -241,10 +207,6 @@ class RewriteRelation:
     def satisfies_pure_part(self, clause: Clause) -> bool:
         """Satisfaction of the pure part ``Gamma -> Delta`` of any clause."""
         return self.satisfies_pure_clause(clause.pure_part())
-
-    def satisfies_all(self, clauses: Iterable[Clause]) -> bool:
-        """True when every pure clause in the collection is satisfied."""
-        return all(self.satisfies_pure_clause(clause) for clause in clauses if clause.is_pure)
 
     def forces(self, clause: Clause) -> bool:
         """The forcing relation ``R, C ||- Sigma`` of Definition 4.3.

@@ -18,10 +18,6 @@ class FreshNames:
         self._used: Set[str] = set(used)
         self._counters = {}
 
-    def reserve(self, name: str) -> None:
-        """Mark ``name`` as used without generating it."""
-        self._used.add(name)
-
     def fresh(self, base: str = "v") -> str:
         """Return a fresh name of the form ``base`` or ``base_<k>``."""
         if base not in self._used:

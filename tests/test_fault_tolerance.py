@@ -25,7 +25,11 @@ import contextlib
 import functools
 import gc
 import io
+import os
 import random
+import select
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -80,7 +84,7 @@ def _baseline_verdicts(entailments):
 
 
 @contextlib.contextmanager
-def _chaos_prover(plan, jobs, retries=2, config=None, **kwargs):
+def _chaos_prover(plan, jobs, retries=2, config=None):
     # Retries are immediate; chaos tests measure logic, not waiting.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(supervisor, "BACKOFF_BASE", 0.0)
@@ -90,7 +94,6 @@ def _chaos_prover(plan, jobs, retries=2, config=None, **kwargs):
             cache=False,
             retries=retries,
             fault_plan=plan,
-            **kwargs,
         ) as batch:
             yield batch
 
@@ -191,12 +194,12 @@ class TestChaosMatrix:
 
 class TestHardBudgets:
     def test_watchdog_kills_a_hung_worker_promptly(self):
-        """A hang never stalls the batch longer than ``max_seconds * grace``."""
+        """A hang never stalls the batch longer than ``max_seconds * GRACE_FACTOR``."""
         config = ProverConfig().for_benchmarking().with_timeout(0.25)
         plan = FaultPlan().with_fault(0, FaultSpec(kind="hang", seconds=30.0))
         corpus = _corpus(4)
         start = time.monotonic()
-        with _chaos_prover(plan, jobs=2, config=config, grace_factor=2.0) as batch:
+        with _chaos_prover(plan, jobs=2, config=config) as batch:
             outcomes = batch.prove_all(corpus)
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, "watchdog must reclaim the worker, not wait out the hang"
@@ -535,11 +538,16 @@ class TestConsumers:
         # Through the pool: the retry and both respawns reach the summary.
         plan = FaultPlan().with_fault(0, FaultSpec(kind="exit"))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_env())
-        code = main([str(source), "--jobs", "2", "--retries", "1", "--no-cache"])
-        captured = capsys.readouterr()
-        assert captured.out.splitlines()[0].startswith("crashed")
-        assert "failures: 1 crashed/quarantined; 1 retries, 2 workers respawned" in captured.err
-        assert code == 3
+        pooled = [str(source), "--jobs", "2", "--retries", "1", "--no-cache"]
+        for extra in ([], ["--run-dir", str(tmp_path / "run")]):
+            code = main(pooled + extra)
+            captured = capsys.readouterr()
+            assert captured.out.splitlines()[0].startswith("crashed")
+            assert (
+                "failures: 1 crashed/quarantined; 1 retries, 2 workers respawned"
+                in captured.err
+            ), extra
+            assert code == 3
 
     def test_fuzz_campaign_survives_injected_chaos(self):
         from repro.fuzz.differential import run_campaign
@@ -779,3 +787,66 @@ class TestLivenessAcks:
         reactor.join(10)
         assert not reactor.is_alive()
         assert not any(process.is_alive() for process in processes)
+
+
+#: A coordinator that hangs task 0 for 30 s, announces its worker pids once
+#: another task has come back, and then waits for its SIGKILL.
+_DOOMED_COORDINATOR = """
+from repro.core.batch import BatchProver
+from repro.core.config import ProverConfig
+from repro.core.faults import FaultPlan, FaultSpec
+from repro.logic.parser import parse_entailment
+
+plan = FaultPlan().with_fault(0, FaultSpec(kind="hang", seconds=30.0))
+batch = BatchProver(ProverConfig(), jobs=2, cache=False, fault_plan=plan)
+results = batch.iter_results([parse_entailment("x |-> y * y |-> nil |- lseg(x, nil)")] * 4)
+next(results)  # a task that does not hang
+print(" ".join(str(worker.process.pid) for worker in batch._pool._workers), flush=True)
+list(results)  # waits on the hung task until the SIGKILL
+"""
+
+
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live process?  A zombie awaiting its reaper is not."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "prelude",
+    ["", "import os\nos.__dict__.pop('pidfd_open', None)\n"],
+    ids=["pidfd", "no-pidfd"],
+)
+def test_workers_exit_when_their_coordinator_is_killed(prelude):
+    """SIGKILL a coordinator mid-batch (one worker inside a hung task, the
+    other idle): within 2 s no worker of it is left running, also where the
+    watch thread has no pidfd and polls the parent pid."""
+    source = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = source + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", prelude + _DOOMED_COORDINATOR], env=env, stdout=subprocess.PIPE
+    )
+    pids = []
+    try:
+        announced, _, _ = select.select([coordinator.stdout], [], [], 60)
+        assert announced, "the coordinator never announced its workers"
+        pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        coordinator.send_signal(signal.SIGKILL)
+        coordinator.wait(10)
+        deadline = time.monotonic() + 2.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)], "workers outlived the coordinator"
+    finally:
+        coordinator.kill()
+        coordinator.wait(10)
+        coordinator.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -86,7 +86,7 @@ def _get(base: str, path: str):
 
 class TestAdmissionControl:
     def test_shed_past_high_water_with_retry_after(self):
-        service = ProofService(FAST, jobs=1, lanes=1, max_queue_requests=2)
+        service = ProofService(FAST, jobs=1, max_queue_requests=2)
         try:
             gate = _Gate(service)
             queued = [service.submit([_ent("q{}".format(i))]) for i in range(2)]
@@ -105,7 +105,7 @@ class TestAdmissionControl:
 
     def test_entailment_cap_sheds_independently_of_request_cap(self):
         service = ProofService(
-            FAST, jobs=1, lanes=1, max_queue_requests=100, max_queue_entailments=3
+            FAST, jobs=1, max_queue_requests=100, max_queue_entailments=3
         )
         try:
             gate = _Gate(service)
@@ -119,7 +119,7 @@ class TestAdmissionControl:
             service.close()
 
     def test_http_429_carries_retry_after_header(self):
-        service = ProofService(FAST, jobs=1, lanes=1, max_queue_requests=1)
+        service = ProofService(FAST, jobs=1, max_queue_requests=1)
         server = ProofServer(service, port=0).serve_in_thread()
         gate = _Gate(service)
         try:
@@ -164,7 +164,7 @@ class TestAdmissionControl:
 
 class TestDeadlineShedding:
     def test_expired_in_queue_is_answered_without_touching_the_pool(self):
-        service = ProofService(FAST, jobs=1, lanes=1)
+        service = ProofService(FAST, jobs=1)
         try:
             gate = _Gate(service)
             doomed = service.submit([_ent("doomed")], timeout=0.05)
@@ -188,7 +188,7 @@ class TestDeadlineShedding:
             service.close()
 
     def test_disconnect_cancels_still_queued_future(self):
-        service = ProofService(FAST, jobs=1, lanes=1)
+        service = ProofService(FAST, jobs=1)
         server = ProofServer(service, port=0).serve_in_thread()
         gate = _Gate(service)
         try:
@@ -227,7 +227,7 @@ class TestDeadlineShedding:
 
 class TestLaneIsolation:
     def test_priority_request_lands_within_5x_unloaded_p50(self):
-        service = ProofService(FAST, jobs=2, lanes=2)
+        service = ProofService(FAST, jobs=2)
         try:
             # Warm the pool, then measure the unloaded p50 of a singleton.
             service.submit([_ent("warm")]).result(timeout=60)
@@ -323,7 +323,7 @@ class TestAccountingInvariant:
 
         with no future left unresolved and no double counting.
         """
-        service = ProofService(FAST, jobs=1, lanes=1, max_queue_requests=3)
+        service = ProofService(FAST, jobs=1, max_queue_requests=3)
         gate = None
         try:
             gate = _Gate(service)

@@ -1,10 +1,10 @@
-"""The entailment service: queue, HTTP front, sharded store, shutdown.
+"""The entailment service: queue, HTTP front, persistent store, shutdown.
 
 These are integration tests in the tier-1 suite: they boot the real server
 on an ephemeral port (event loop on a background thread), speak real HTTP
 over sockets, and exercise the properties the service exists for — warm
 cache across requests, per-request budgets, priority scheduling, graceful
-drain, and a warm restart from the sharded persistent store.
+drain, and a warm restart from the persistent store.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core.batch import FailureInfo
 from repro.core.cache import PersistentProofCache
 from repro.core.config import ProverConfig
 from repro.core.result import ProofResult
-from repro.core.store import ProofStore, ShardedProofStore
+from repro.core.store import ProofStore
 from repro.logic.parser import parse_entailment
 from repro.server import ProofServer, ProofService
 
@@ -237,32 +237,25 @@ class TestProofService:
         finally:
             service.close()
 
-    def test_kill_and_restart_answers_warm_from_sharded_store(self, tmp_path):
+    def test_kill_and_restart_answers_warm_from_store(self, tmp_path):
         store_path = str(tmp_path / "proofs.store")
         lines = [
             "a |-> b * b |-> nil |- lseg(a, nil)",
             "lseg(u, v) * lseg(v, nil) |- lseg(u, nil)",
         ]
-        with ProofService(FAST, jobs=1, store_path=store_path, shards=2) as first:
+        with ProofService(FAST, jobs=1, store_path=store_path) as first:
             outcomes = first.submit([parse_entailment(line) for line in lines]).result(30)
             assert all(isinstance(o, ProofResult) for o in outcomes)
-        # Both shard files exist; together they hold every stored key.
-        shards = [
-            ProofStore(ShardedProofStore.shard_path(store_path, k, 2), fsync=False)
-            for k in range(2)
-        ]
-        try:
-            assert sum(len(shard) for shard in shards) == len(lines)
-        finally:
-            for shard in shards:
-                shard.close()
+        # The store is one file at the given path, holding every stored key.
+        with ProofStore(store_path) as store:
+            assert len(store) == len(lines)
         # A fresh service over the same path answers alpha-renamed repeats
         # from disk without proving anything.
         renamed = [
             "p |-> q * q |-> nil |- lseg(p, nil)",
             "lseg(m, n) * lseg(n, nil) |- lseg(m, nil)",
         ]
-        with ProofService(FAST, jobs=1, store_path=store_path, shards=2) as second:
+        with ProofService(FAST, jobs=1, store_path=store_path) as second:
             warm = second.submit([parse_entailment(line) for line in renamed]).result(30)
             assert all(o.from_cache for o in warm)
             cache = second.batch.cache
@@ -274,44 +267,9 @@ class TestProofService:
         """A timeout is budget-relative; persisting it would poison warmer runs."""
         store_path = str(tmp_path / "proofs.store")
         hard = parse_entailment("lseg(x, y) * lseg(y, z) * lseg(z, x) * x != z |- lseg(x, z)")
-        with ProofService(FAST, jobs=1, store_path=store_path, shards=2) as service:
+        with ProofService(FAST, jobs=1, store_path=store_path) as service:
             outcomes = service.submit([hard], timeout=1e-9).result(30)
             assert isinstance(outcomes[0], FailureInfo)
             assert outcomes[0].kind == "timeout"
             disk = service.batch.cache.disk
             assert len(disk) == 0
-
-
-class TestShardedProofStore:
-    def test_roundtrip_and_routing(self, tmp_path):
-        store = ShardedProofStore(str(tmp_path / "s.store"), shards=4, fsync=False)
-        try:
-            keys = [("k", i) for i in range(32)]
-            for key in keys:
-                store.put(key, "valid", None, None, None)
-            assert len(store) == len(keys)
-            assert store.keys_on_disk() == len(keys)
-            for key in keys:
-                found = store.get(key)
-                assert found is not None and found[0] == "valid"
-            assert store.get(("missing", 0)) is None
-            # The digest routing actually spreads keys over several files.
-            populated = sum(1 for shard in store.shards if len(shard) > 0)
-            assert populated >= 2
-            assert store.statistics.appends == len(keys)
-            assert not store.broken
-        finally:
-            store.close()
-
-    def test_reopen_sees_previous_records(self, tmp_path):
-        path = str(tmp_path / "s.store")
-        with ShardedProofStore(path, shards=3, fsync=False) as store:
-            for i in range(8):
-                store.put(("key", i), "invalid", None, None, None)
-        with ShardedProofStore(path, shards=3, fsync=False) as reopened:
-            assert len(reopened) == 8
-            assert reopened.get(("key", 5))[0] == "invalid"
-
-    def test_rejects_bad_shard_count(self, tmp_path):
-        with pytest.raises(ValueError):
-            ShardedProofStore(str(tmp_path / "s.store"), shards=0)

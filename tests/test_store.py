@@ -22,6 +22,7 @@ from repro.core.faults import (
     DiskFaultSpec,
     InjectedDiskFault,
 )
+from repro.core import store as store_module
 from repro.core.store import (
     JournalMismatch,
     ProofStore,
@@ -225,9 +226,11 @@ def test_damaged_journal_always_recovers_or_quarantines(tmp_path_factory, cut, f
 # ---------------------------------------------------------------------------
 
 
-def test_compaction_drops_dead_records(tmp_path):
+def test_compaction_drops_dead_records(tmp_path, monkeypatch):
     path = str(tmp_path / "proofs.slp")
-    with ProofStore(path, compact_dead_ratio=0.5, compact_min_records=8) as store:
+    monkeypatch.setattr(store_module, "COMPACT_DEAD_RATIO", 0.5)
+    monkeypatch.setattr(store_module, "COMPACT_MIN_RECORDS", 8)
+    with ProofStore(path) as store:
         for round_number in range(4):
             for i in range(4):
                 store.put(_key(i), "valid", "round-{}-{}".format(round_number, i), None, None)
@@ -240,9 +243,10 @@ def test_compaction_drops_dead_records(tmp_path):
         assert store.get(_key(1)) == ("valid", "round-3-1", None, None)
 
 
-def test_explicit_compact_shrinks_file(tmp_path):
+def test_explicit_compact_shrinks_file(tmp_path, monkeypatch):
     path = str(tmp_path / "proofs.slp")
-    with ProofStore(path, compact_min_records=10_000) as store:  # no auto-compaction
+    monkeypatch.setattr(store_module, "COMPACT_MIN_RECORDS", 10_000)  # no auto-compaction
+    with ProofStore(path) as store:
         for _ in range(10):
             store.put(_key(0), "valid", "p" * 256, None, None)
         before = os.path.getsize(path)
@@ -267,9 +271,10 @@ def test_two_handles_share_appends(tmp_path):
         assert writer.get(_key(1)) == ("invalid", "from-reader", None, None)
 
 
-def test_refresh_survives_compaction_by_other_handle(tmp_path):
+def test_refresh_survives_compaction_by_other_handle(tmp_path, monkeypatch):
     path = str(tmp_path / "proofs.slp")
-    with ProofStore(path, compact_min_records=10_000) as a, ProofStore(path) as b:
+    monkeypatch.setattr(store_module, "COMPACT_MIN_RECORDS", 10_000)  # no auto-compaction
+    with ProofStore(path) as a, ProofStore(path) as b:
         for _ in range(6):
             a.put(_key(0), "valid", "fat" * 100, None, None)
         a.compact()  # os.replace: b's inode is now stale

@@ -21,7 +21,6 @@ class TestRewriteRelation:
         relation = RewriteRelation({Const("c"): Const("a"), Const("b"): Const("a")})
         assert relation.normal_form(Const("c")) == Const("a")
         assert relation.normal_form(Const("a")) == Const("a")
-        assert relation.rewrite_path(Const("c")) == [Const("c"), Const("a")]
 
     def test_chained_normal_form(self):
         relation = RewriteRelation({Const("c"): Const("b"), Const("b"): Const("a")})
@@ -55,8 +54,6 @@ class TestRewriteRelation:
         relation = RewriteRelation({Const("c"): Const("a")})
         constants = make_consts("a b c")
         assert relation.substitution(constants) == {Const("c"): Const("a")}
-        classes = relation.equivalence_classes(constants)
-        assert classes[Const("a")] == frozenset({Const("a"), Const("c")})
 
     def test_forces(self):
         from repro.logic.atoms import SpatialFormula
