@@ -19,7 +19,10 @@ recorded in the ``serve`` section of ``BENCH_saturation.json``).
 
 ``--smoke`` is the CI mode: one server, 50 concurrent requests (half
 distinct, half alpha-renamed repeats), asserting zero failed requests and a
-nonzero warm-hit count — no benchmark file is touched.
+nonzero warm-hit count — no benchmark file is touched.  The server runs in
+its own session; after the requests it is SIGKILLed, and the smoke fails if
+any process of that session (a pool worker orphaned by the kill) still runs
+2 s later.
 
 ``--overload`` is the chaos-under-load acceptance: offered load far above
 capacity (more concurrent clients than the service will queue, each firing
@@ -59,7 +62,9 @@ import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(REPO_ROOT, "scripts"))
 
+from kill_and_resume_smoke import kill_session_leader  # noqa: E402
 from repro.core.atomicio import atomic_write_json  # noqa: E402
 from repro.core.faults import FAULT_PLAN_ENV, FaultPlan  # noqa: E402
 from repro.logic.parser import parse_entailment  # noqa: E402
@@ -150,6 +155,7 @@ class Server:
             stderr=subprocess.PIPE,
             env=env,
             cwd=REPO_ROOT,
+            start_new_session=True,
         )
         self.base = self._scrape_address()
 
@@ -185,6 +191,11 @@ class Server:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait(timeout=10)
+
+    def kill(self) -> list:
+        """SIGKILL the server; the pids of its session still running 2 s
+        later (orphaned workers, killed before returning)."""
+        return kill_session_leader(self.process)
 
     def __enter__(self) -> "Server":
         return self
@@ -583,6 +594,7 @@ def smoke(args) -> int:
         ) as server:
             latencies, wall, failures = run_phase(server.base, lines, args.clients)
             stats = server.stats()
+            orphans = server.kill()
     warm_hits = stats["cache"]["hits"] + stats["cache"]["deduplicated"]
     print(
         "[bench_load --smoke] {} requests, {} failures, {} warm hits, {:.1f} rps".format(
@@ -598,6 +610,10 @@ def smoke(args) -> int:
         return 1
     if warm_hits == 0:
         print("  expected nonzero warm hits on repeated workload", file=sys.stderr)
+        return 1
+    if orphans:
+        print("  processes {} outlived the SIGKILLed server by 2 s".format(orphans),
+              file=sys.stderr)
         return 1
     return 0
 

@@ -71,7 +71,7 @@ def _journal_records(path: str) -> int:
         return 0
 
 
-def _session_survivors(session: int) -> list:
+def session_survivors(session: int) -> list:
     """Pids of the running processes of ``session`` (zombies do not count)."""
     survivors = []
     for entry in os.listdir("/proc"):
@@ -85,6 +85,28 @@ def _session_survivors(session: int) -> list:
         state, process_session = fields[0], int(fields[3])
         if process_session == session and state != "Z":
             survivors.append(int(entry))
+    return survivors
+
+
+def kill_session_leader(process: subprocess.Popen, grace: float = 2.0) -> list:
+    """SIGKILL ``process``, started in its own session, and return the pids
+    of that session still running ``grace`` seconds later.
+
+    Those survivors are orphans of the killed process; they are SIGKILLed
+    before returning, so a failing check leaves no process behind.
+    """
+    process.send_signal(signal.SIGKILL)
+    process.wait()
+    deadline = time.time() + grace
+    survivors = session_survivors(process.pid)
+    while survivors and time.time() < deadline:
+        time.sleep(0.05)
+        survivors = session_survivors(process.pid)
+    if survivors:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # they exited after the last look
     return survivors
 
 
@@ -155,8 +177,9 @@ def main(argv=None) -> int:
             if victim.poll() is not None:
                 break
             if _journal_records(journal_path) >= target:
-                victim.send_signal(signal.SIGKILL)
-                victim.wait()
+                # Before the journal is read: orphaned workers would still
+                # hold its lock if the coordinator died inside an append.
+                survivors = kill_session_leader(victim)
                 killed = True
                 break
             time.sleep(0.05)
@@ -171,17 +194,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        # Before the journal is read: orphaned workers would still hold its
-        # lock if the coordinator died inside an append.
-        orphan_deadline = time.time() + 2.0
-        survivors = _session_survivors(victim.pid)
-        while survivors and time.time() < orphan_deadline:
-            time.sleep(0.05)
-            survivors = _session_survivors(victim.pid)
         if survivors:
             print("[kill_and_resume] FAIL: processes {} outlived the killed coordinator "
                   "by 2 s".format(survivors))
-            os.killpg(victim.pid, signal.SIGKILL)
             return 1
         committed = _journal_records(journal_path)
         print("[kill_and_resume] SIGKILLed coordinator with {} records committed".format(committed))

@@ -40,8 +40,6 @@ from repro.baselines.common import (
     ResourceExhausted,
     SequentState,
     initial_state,
-    replace_lhs,
-    replace_rhs,
     state_with_equality,
 )
 from repro.logic.atoms import ListSegment, PointsTo, SpatialAtom

@@ -45,8 +45,6 @@ from repro.baselines.common import (
     SequentState,
     drop_rhs_pure,
     initial_state,
-    replace_lhs,
-    replace_rhs,
     state_with_disequality,
     state_with_equality,
 )

@@ -14,7 +14,10 @@ proof/counterexample expressed in the *canonical* vocabulary ``c1..cn``.  On
 a hit the stored objects are renamed back into the requesting entailment's
 own vocabulary, so callers cannot tell a cached result from a fresh one
 (apart from the :attr:`~repro.core.result.ProofResult.from_cache` flag and
-the much smaller elapsed time).
+the much smaller elapsed time).  A hit carries a proof only when the request
+asked for one, and its counterexample only once it has been checked to
+falsify the request.  Each live entailment is canonicalised once: the cache
+memoises its form under weak keys (:meth:`ProofCache.canonical_form`).
 
 :class:`CachingProver` wraps a :class:`~repro.core.prover.Prover` with a
 cache for sequential use; the parallel batch engine
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
@@ -50,6 +54,7 @@ from repro.logic.formula import Entailment
 from repro.logic.terms import Const
 from repro.semantics.counterexample import Counterexample
 from repro.semantics.heap import Heap, NIL_LOC, Stack
+from repro.semantics.satisfaction import falsifies_entailment
 
 __all__ = [
     "ProofCache",
@@ -126,6 +131,18 @@ def rename_counterexample(
     return Counterexample(stack=stack, heap=heap, description=counterexample.description)
 
 
+#: The memo's marker for an entailment it has not keyed yet.
+_UNKNOWN = object()
+
+
+def _falsifies(counterexample: Counterexample, entailment: Entailment) -> bool:
+    """Does a stored counterexample, renamed back, falsify the request?"""
+    try:
+        return falsifies_entailment(counterexample.stack, counterexample.heap, entailment)
+    except KeyError:  # its stack leaves a variable of the request unbound
+        return False
+
+
 @dataclass(frozen=True)
 class _CacheEntry:
     """A memoised verdict with its artifacts in the canonical vocabulary."""
@@ -145,6 +162,8 @@ class ProofCache:
 
     Lookups, stores and counter updates are serialised by an internal
     re-entrant lock, so concurrent dispatcher lanes may share one cache.
+    The lock also guards the canonical-form memo; canonicalisation itself
+    runs outside it.
     Note the sidecar file locks of a persistent second tier are advisory
     *inter-process* locks (fcntl) — they do nothing between threads of one
     process, which is exactly what this lock covers.  Callers needing a
@@ -157,11 +176,17 @@ class ProofCache:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
+        # Entailment -> its form, or None for an opt-out.  Weak keys: an
+        # entry lives only while a caller holds an equal entailment.
+        self._forms: "weakref.WeakKeyDictionary[Entailment, Optional[CanonicalForm]]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.uncacheable = 0
         self.disk_hits = 0  # subset of ``hits`` answered by the second tier
+        self.rejected = 0  # hits whose counterexample failed the request
 
     @property
     def lock(self) -> "threading.RLock":
@@ -187,13 +212,15 @@ class ProofCache:
         return self.hits / total if total else 0.0
 
     def clear(self) -> None:
-        """Drop all entries and reset the counters."""
+        """Drop all entries and memoised forms, and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._forms.clear()
             self.hits = 0
             self.misses = 0
             self.uncacheable = 0
             self.disk_hits = 0
+            self.rejected = 0
 
     # -- second-tier hooks -------------------------------------------------
     def _fetch_second_tier(self, key: tuple) -> Optional[_CacheEntry]:
@@ -205,13 +232,30 @@ class ProofCache:
 
     # -- canonicalisation --------------------------------------------------
     def canonical_form(self, entailment: Entailment) -> Optional[CanonicalForm]:
-        """Canonicalise, or ``None`` for entailments too symmetric to key."""
-        try:
-            return canonicalize(entailment)
-        except TooSymmetricError:
-            with self._lock:
+        """Canonicalise, or ``None`` for entailments too symmetric to key.
+
+        The result is memoised under ``entailment`` for as long as the caller
+        (or anyone) holds an equal entailment, and every caller is handed the
+        same :class:`CanonicalForm`: callers read it and never change it.
+        Each call that answers ``None`` counts in :attr:`uncacheable`.
+        """
+        with self._lock:
+            form = self._forms.get(entailment, _UNKNOWN)
+            if form is None:
                 self.uncacheable += 1
-            return None
+        if form is not _UNKNOWN:
+            return form
+        try:
+            form = canonicalize(entailment)
+        except TooSymmetricError:
+            form = None
+        with self._lock:
+            # A concurrent caller may have keyed an equal entailment first;
+            # keep its form so that every caller shares one.
+            form = self._forms.setdefault(entailment, form)
+            if form is None:
+                self.uncacheable += 1
+        return form
 
     # -- lookup / store ----------------------------------------------------
     def lookup(
@@ -219,10 +263,18 @@ class ProofCache:
         entailment: Entailment,
         canonical: Optional[CanonicalForm] = None,
     ) -> Optional[ProofResult]:
-        """The memoised result for ``entailment``, renamed into its vocabulary.
+        """The memoised verdict for ``entailment``, renamed into its vocabulary.
 
         Pass ``canonical`` when the caller already canonicalised (the batch
         engine does, to share the work between lookup, dedup and store).
+
+        The hit carries the entry's counterexample, renamed and then checked
+        against ``entailment``.  One that does not falsify it is *rejected*:
+        the hit counts as a miss (and in :attr:`rejected`), the memory entry
+        is dropped and ``None`` is returned, so the caller proves the
+        entailment afresh and its :meth:`store` replaces the entry.  The hit
+        carries no proof: renaming one costs time in its length, so only
+        :meth:`answer` does it, for a request that asks for the proof.
         """
         start = time.perf_counter()
         if canonical is None:
@@ -231,7 +283,8 @@ class ProofCache:
             return None
         with self._lock:
             entry = self._entries.get(canonical.key)
-            if entry is None:
+            from_disk = entry is None
+            if from_disk:
                 entry = self._fetch_second_tier(canonical.key)
                 if entry is None:
                     self.misses += 1
@@ -242,20 +295,24 @@ class ProofCache:
                     self._entries.popitem(last=False)
             self._entries.move_to_end(canonical.key)
             self.hits += 1
-        # Entries are immutable; renaming happens outside the lock so slow
-        # proof/counterexample transport doesn't serialise other lanes.
-        inverse = dict(canonical.inverse)
-        proof = rename_proof(entry.proof, inverse) if entry.proof is not None else None
-        counterexample = (
-            rename_counterexample(entry.counterexample, inverse)
-            if entry.counterexample is not None
-            else None
-        )
+        # Entries are immutable; renaming and checking happen outside the
+        # lock so that they do not serialise other lanes.
+        counterexample = None
+        if entry.counterexample is not None:
+            counterexample = rename_counterexample(entry.counterexample, canonical.inverse)
+            if not _falsifies(counterexample, entailment):
+                with self._lock:
+                    self.hits -= 1
+                    self.disk_hits -= from_disk
+                    self.misses += 1
+                    self.rejected += 1
+                    if self._entries.get(canonical.key) is entry:
+                        del self._entries[canonical.key]
+                return None
         statistics = replace(entry.statistics, elapsed_seconds=time.perf_counter() - start)
         return ProofResult(
             verdict=entry.verdict,
             entailment=entailment,
-            proof=proof,
             counterexample=counterexample,
             statistics=statistics,
             from_cache=True,
@@ -267,22 +324,37 @@ class ProofCache:
         canonical: Optional[CanonicalForm] = None,
         record_proof: bool = False,
     ) -> Optional[ProofResult]:
-        """:meth:`lookup`, except that a hit must also satisfy the request.
+        """:meth:`lookup`, with the hit shaped to the request.
 
-        A VALID entry stored without a proof cannot answer a request that
-        asks for one: it counts as a miss (``hits``/``disk_hits`` are taken
-        back, ``misses`` grows) and ``None`` is returned, so the caller
-        proves the entailment and its :meth:`store` replaces the entry.
+        A request that asks for a proof (``record_proof``) gets the entry's
+        proof renamed into its vocabulary; one that does not gets none, as
+        from a fresh prove without proof recording.  A VALID entry stored
+        without a proof cannot answer a request that asks for one: it counts
+        as a miss (``hits``/``disk_hits`` are taken back, ``misses`` grows)
+        and ``None`` is returned, so the caller proves the entailment and its
+        :meth:`store` replaces the entry.
         """
+        start = time.perf_counter()
+        if canonical is None:
+            canonical = self.canonical_form(entailment)
+            if canonical is None:
+                return None
         with self._lock:
             hits, disk_hits = self.hits, self.disk_hits
             cached = self.lookup(entailment, canonical)
-            # An INVALID entry always carries its counterexample.
-            if cached is None or not (record_proof and cached.is_valid and cached.proof is None):
+            if cached is None or not (record_proof and cached.is_valid):
                 return cached
-            self.hits, self.disk_hits = hits, disk_hits
-            self.misses += 1
-            return None
+            # The hit's entry: lookup has just made it the most recent one.
+            proof = self._entries[canonical.key].proof
+            if proof is None:
+                self.hits, self.disk_hits = hits, disk_hits
+                self.misses += 1
+                return None
+        return replace(
+            cached,
+            proof=rename_proof(proof, canonical.inverse),
+            statistics=replace(cached.statistics, elapsed_seconds=time.perf_counter() - start),
+        )
 
     def store(
         self,
@@ -300,7 +372,7 @@ class ProofCache:
             canonical = self.canonical_form(entailment)
         if canonical is None:
             return False
-        renaming = dict(canonical.renaming)
+        renaming = canonical.renaming
         proof = rename_proof(result.proof, renaming) if result.proof is not None else None
         counterexample = (
             rename_counterexample(result.counterexample, renaming)

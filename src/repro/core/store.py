@@ -100,8 +100,6 @@ _FRAME_SIZE = _FRAME_STRUCT.size
 #: KB; 64 MB is orders of magnitude of headroom.
 _MAX_PAYLOAD = 64 * 1024 * 1024
 
-_ZERO_DIGEST = b"\x00" * 16
-
 #: Compaction thresholds: a :meth:`ProofStore.put` that leaves at least
 #: ``COMPACT_MIN_RECORDS`` records, of which at least ``COMPACT_DEAD_RATIO``
 #: are superseded, rewrites the store.  Read when used, so a test can

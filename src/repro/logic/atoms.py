@@ -77,6 +77,12 @@ class EqAtom:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # A pickle carries the writer's cached hash, which derives from its
+        # string hashes (``PYTHONHASHSEED``); recompute it in this process.
+        self.__dict__.update(state)
+        object.__setattr__(self, "_hash", hash(self.sort_key))
+
     @property
     def sides(self) -> Tuple[Const, Const]:
         """The two constants related by the atom."""

@@ -60,10 +60,11 @@ that exhausts it opts out of caching via :class:`TooSymmetricError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.logic.formula import Entailment
-from repro.logic.terms import Const, make_const
+from repro.logic.terms import NIL, Const, make_const
 
 __all__ = [
     "CanonicalForm",
@@ -104,6 +105,9 @@ _Label = Tuple[str, str, str, str]
 #: A fingerprint (see :meth:`_Search.encode`).
 _Key = Tuple
 
+#: The sort key of name order, read at C level.
+_NAME = attrgetter("name")
+
 
 class _Leaf(NamedTuple):
     """A leaf of the search tree: its encoding, colouring and individualised path."""
@@ -122,55 +126,77 @@ class _Search:
         self.budget = budget
         # Name order: it fixes the order in which tied candidates are tried,
         # and with it the pass count, in every interpreter.
-        self.constants = sorted(entailment.constants(), key=lambda c: c.name)
-        self.has_nil = any(constant.is_nil for constant in self.constants)
-        ids = {constant: number for number, constant in enumerate(self.constants)}
+        constants = entailment.constants()
+        self.constants = sorted(constants, key=_NAME)
+        self.has_nil = NIL in constants
+        ids = dict(zip(self.constants, range(len(self.constants))))
         # Every atom occurrence as labelled, directed edges ``(from, to)``
         # between constant ids (a loop for degenerate ``x = x`` /
         # ``lseg(x, x)`` atoms, which refinement handles naturally), and the
-        # atoms themselves over ids, for the encoding.
+        # atoms themselves over ids, for the encoding.  The order of the arcs
+        # under one label is immaterial: refinement sorts each neighbourhood.
         arcs: Dict[_Label, List[Tuple[int, int]]] = {}
         self.pure_sides: List[List[Tuple[int, int, int]]] = []
-        self.spatial_sides: List[List[Tuple[str, Tuple[int, ...]]]] = []
+        #: Per side: binary atoms as ``(kind, a, b)``, wider ones as
+        #: ``(kind, arguments)``.
+        self.spatial_sides: List[Tuple[list, list]] = []
         for side, literals in (("lhs", entailment.lhs_pure), ("rhs", entailment.rhs_pure)):
             encoded = []
+            ends: Tuple[list, list] = ([], [])  # disequalities', equalities' arcs
             for literal in literals:
+                atom = literal.atom
                 positive = int(literal.positive)
-                i, j = ids[literal.atom.left], ids[literal.atom.right]
+                i, j = ids[atom.left], ids[atom.right]
                 encoded.append((positive, i, j))
-                label = ("pure", side, "eq" if positive else "neq", "end")
-                arcs.setdefault(label, []).extend(((i, j), (j, i)))
+                ends[positive].extend(((i, j), (j, i)))
             self.pure_sides.append(encoded)
+            for positive, kind in ((1, "eq"), (0, "neq")):
+                if ends[positive]:
+                    arcs["pure", side, kind, "end"] = ends[positive]
         for side, sigma in (("lhs", entailment.lhs_spatial), ("rhs", entailment.rhs_spatial)):
-            encoded = []
+            binary: List[Tuple[str, int, int]] = []
+            wide: List[Tuple[str, Tuple[int, ...]]] = []
+            # (kind, role pair) -> the arc lists of its two labels, built once.
+            buckets: Dict[Tuple[str, str, str], Tuple[list, list]] = {}
             for atom in sigma:
-                roles = [(role, ids[constant]) for role, constant in atom.argument_roles()]
-                encoded.append((atom.kind, tuple(i for _, i in roles)))
+                roles = atom.argument_roles()
+                kind = atom.kind
                 if len(roles) == 2:
                     # Binary atoms keep the original single-neighbour labels
                     # so that singly-linked fingerprints are unchanged.
                     (role_a, a), (role_b, b) = roles
-                    arcs.setdefault(("spatial", side, atom.kind, role_a), []).append((a, b))
-                    arcs.setdefault(("spatial", side, atom.kind, role_b), []).append((b, a))
+                    a, b = ids[a], ids[b]
+                    binary.append((kind, a, b))
+                    bucket = buckets.get((kind, role_a, role_b))
+                    if bucket is None:
+                        bucket = buckets[kind, role_a, role_b] = (
+                            arcs.setdefault(("spatial", side, kind, role_a), []),
+                            arcs.setdefault(("spatial", side, kind, role_b), []),
+                        )
+                    bucket[0].append((a, b))
+                    bucket[1].append((b, a))
                     continue
+                numbered = [(role, ids[constant]) for role, constant in roles]
+                wide.append((kind, tuple([i for _, i in numbered])))
                 # Wider atoms: connect every argument to every other argument,
                 # labelling the edge with the ordered role pair so refinement
                 # sees the full incidence structure of the atom.
-                for x, (role_x, a) in enumerate(roles):
-                    for y, (role_y, b) in enumerate(roles):
+                for x, (role_x, a) in enumerate(numbered):
+                    for y, (role_y, b) in enumerate(numbered):
                         if x != y:
-                            label = ("spatial", side, atom.kind, "{}>{}".format(role_x, role_y))
+                            label = ("spatial", side, kind, "{}>{}".format(role_x, role_y))
                             arcs.setdefault(label, []).append((a, b))
-            self.spatial_sides.append(encoded)
+            self.spatial_sides.append((binary, wide))
         # (label rank) * stride + (neighbour colour) orders exactly as the
         # pair (label, neighbour colour) does: colour ids never exceed the
         # number of constants.
         stride = len(self.constants) + 1
-        self.edges: List[List[Tuple[int, int]]] = [[] for _ in self.constants]
+        edges: List[List[Tuple[int, int]]] = [[] for _ in self.constants]
         for number, label in enumerate(sorted(arcs)):
             base = number * stride
             for a, b in arcs[label]:
-                self.edges[a].append((base, b))
+                edges[a].append((base, b))
+        self.edges = edges
         #: Automorphisms found so far, as permutations of the constant ids.
         self.generators: List[List[int]] = []
         self.first: Optional[_Leaf] = None
@@ -312,12 +338,16 @@ class _Search:
             for positive, left, right in literals:
                 i, j = position[left], position[right]
                 encoded.append((positive, i, j) if i <= j else (positive, j, i))
-            return tuple(sorted(encoded))
+            encoded.sort()
+            return tuple(encoded)
 
         def spatial(atoms) -> Tuple:
-            return tuple(
-                sorted((kind, *[position[x] for x in arguments]) for kind, arguments in atoms)
-            )
+            binary, wide = atoms
+            encoded = [(kind, position[a], position[b]) for kind, a, b in binary]
+            for kind, arguments in wide:
+                encoded.append((kind, *[position[x] for x in arguments]))
+            encoded.sort()
+            return tuple(encoded)
 
         (lhs_pure, rhs_pure), (lhs_spatial, rhs_spatial) = self.pure_sides, self.spatial_sides
         return (
@@ -348,6 +378,10 @@ class _Search:
 class CanonicalForm:
     """An entailment's canonical fingerprint plus the renaming that realises it.
 
+    A form may be shared (the proof cache hands one form to every caller
+    asking about an equal entailment), so callers read it and never change
+    its mappings.
+
     Attributes
     ----------
     key:
@@ -376,15 +410,14 @@ def canonicalize(entailment: Entailment, budget: int = _DEFAULT_BUDGET) -> Canon
     (callers should treat those as uncacheable).
     """
     key, ordered = _Search(entailment, budget).run()
-    # Positions -> canonical names.  nil keeps its name; the remaining
-    # constants are numbered c1..cn by their canonical position.
-    renaming: Dict[Const, Const] = {}
-    inverse: Dict[Const, Const] = {}
-    for position, constant in enumerate((c for c in ordered if not c.is_nil), start=1):
-        canonical = make_const("{}{}".format(_CANONICAL_PREFIX, position))
-        renaming[constant] = canonical
-        inverse[canonical] = constant
-    return CanonicalForm(key=key, renaming=renaming, inverse=inverse)
+    # Positions -> canonical names.  nil keeps its name (it holds position 0
+    # when present); the remaining constants are numbered c1..cn by their
+    # canonical position.
+    variables = ordered[1:] if ordered and ordered[0].is_nil else ordered
+    names = [make_const(_CANONICAL_PREFIX + str(number)) for number in range(1, len(variables) + 1)]
+    return CanonicalForm(
+        key=key, renaming=dict(zip(variables, names)), inverse=dict(zip(names, variables))
+    )
 
 
 def fingerprint(entailment: Entailment, budget: int = _DEFAULT_BUDGET) -> _Key:

@@ -24,7 +24,7 @@ with the side it occurs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from operator import attrgetter
@@ -236,6 +236,14 @@ class Clause:
         state = dict(self.__dict__)
         state.pop("_normalizer", None)
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # The cached hash derives from the writer's string hashes
+        # (``PYTHONHASHSEED``); recompute it in this process.
+        self.__dict__.update(state)
+        object.__setattr__(
+            self, "_hash", hash((self.gamma, self.delta, self.spatial, self.spatial_on_right))
+        )
 
     # -- presentation ---------------------------------------------------------
     def __str__(self) -> str:

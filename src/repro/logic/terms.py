@@ -49,6 +49,18 @@ class Const:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    # The cached hash derives from this process's string hashes
+    # (``PYTHONHASHSEED``), so it must not travel in a pickle: a proof store
+    # written by one process is read by others.
+    def __getstate__(self) -> Dict[str, str]:
+        return {"name": self.name}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Pickles written before ``__getstate__`` existed carry the writer's
+        # hash too; it is recomputed here.
+        object.__setattr__(self, "name", state["name"])
+        object.__setattr__(self, "_hash", hash(self.name))
+
     @property
     def is_nil(self) -> bool:
         """True if this constant is the null pointer ``nil``."""

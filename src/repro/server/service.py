@@ -501,6 +501,7 @@ class ProofService:
                 "misses": cache.misses,
                 "uncacheable": cache.uncacheable,
                 "disk_hits": cache.disk_hits,
+                "rejected": cache.rejected,
                 "hit_rate": cache.hit_rate,
                 "deduplicated": batch_stats.deduplicated,
             }

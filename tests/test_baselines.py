@@ -12,7 +12,6 @@ from repro.baselines.common import (
     canonical_pair,
     initial_state,
 )
-from repro.baselines.jstar import JStarProver
 from repro.baselines.smallfoot import SmallfootProver
 from repro.logic.formula import Entailment, eq, lseg, neq, pts
 from repro.logic.parser import parse_entailment

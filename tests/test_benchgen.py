@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro import prove
 from repro.benchgen.cloning import clone_entailment
 from repro.benchgen.harness import compare_on_batch, default_checkers, format_table, run_batch
 from repro.benchgen.random_fold import FoldParameters, random_fold_batch, random_fold_entailment

@@ -32,7 +32,7 @@ from repro.benchgen.cloning import clone_entailment
 from repro.frontend.examples_suite import vcs_by_program
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile
-from repro.logic.canonical import _KEY_VERSION, fingerprint
+from repro.logic.canonical import _DEFAULT_BUDGET, _KEY_VERSION, _Search, fingerprint
 from repro.logic.formula import Entailment
 from repro.logic.printer import format_entailment
 from repro.logic.terms import make_const
@@ -95,3 +95,18 @@ def test_golden_key(record):
     else:
         # Once an opt-out, now keyed: the key must be a genuine invariant.
         assert fingerprint(_renamed(entailment, seed=len(name))) == key
+
+
+def test_search_shape_is_pinned():
+    """The refinement passes the golden inputs take, in all and at most.
+
+    Keys alone do not pin the search: a change that keeps every key but
+    reorders candidates or pruning moves the pass counts, and with them which
+    inputs raise :class:`TooSymmetricError` under a small budget.
+    """
+    passes = []
+    for entailment in INPUTS.values():
+        search = _Search(entailment, _DEFAULT_BUDGET)
+        search.run()
+        passes.append(_DEFAULT_BUDGET - search.budget)
+    assert (len(passes), sum(passes), max(passes)) == (378, 7204, 84)

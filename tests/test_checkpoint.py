@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.core.batch import BatchProver
-from repro.core.cache import CachingProver, PersistentProofCache, ProofCache
+from repro.core.cache import CachingProver, PersistentProofCache
 from repro.core.config import ProverConfig
 from repro.core.faults import DiskFaultPlan, DiskFaultSpec
 from repro.core.prover import Prover

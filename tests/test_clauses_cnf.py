@@ -1,7 +1,5 @@
 """Unit tests for clauses and the clausal embedding ``cnf(E)``."""
 
-import pytest
-
 from repro.logic.atoms import EqAtom, SpatialFormula
 from repro.logic.clauses import Clause, EMPTY_CLAUSE
 from repro.logic.cnf import cnf

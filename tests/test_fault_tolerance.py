@@ -39,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.supervisor as supervisor
-from repro.core.batch import BatchProver, FailureInfo, default_jobs
+from repro.core.batch import BatchProver, FailureInfo
 from repro.core.config import ProverConfig
 from repro.core.faults import (
     FAULT_KINDS,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.logic.atoms import EqAtom
-from repro.logic.formula import Entailment, PureLiteral, consts, eq, lseg, neq, nil, pts
+from repro.logic.formula import Entailment, consts, eq, lseg, neq, nil, pts
 from repro.logic.terms import Const, NIL
 
 

@@ -21,7 +21,6 @@ from repro.fuzz import (
     EntailmentGenerator,
     EnumerationOracle,
     FunctionOracle,
-    FuzzReport,
     GeneratorProfile,
     JStarOracle,
     ProverOracle,

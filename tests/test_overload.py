@@ -30,7 +30,7 @@ from repro.core.config import ProverConfig
 from repro.core.result import ProofResult
 from repro.logic.parser import parse_entailment
 from repro.server import ProofServer, ProofService
-from repro.server.service import ServiceClosed, ServiceOverloaded
+from repro.server.service import ServiceOverloaded
 
 FAST = ProverConfig(record_proof=False).with_timeout(5.0)
 

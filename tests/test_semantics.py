@@ -3,7 +3,7 @@
 import pytest
 
 from repro.logic.atoms import SpatialFormula
-from repro.logic.formula import Entailment, eq, lseg, neq, pts
+from repro.logic.formula import eq, lseg, neq, pts
 from repro.logic.parser import parse_entailment
 from repro.logic.terms import Const, NIL
 from repro.semantics.enumeration import enumerate_counterexample, is_valid_by_enumeration

@@ -17,14 +17,13 @@ from repro.core.prover import Prover, prove
 from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile
 from repro.fuzz.metamorphic import applicable_transforms
 from repro.fuzz.oracles import EnumerationOracle, JStarOracle, SmallfootOracle
-from repro.logic.atoms import DllCell, DllSegment, SpatialFormula
+from repro.logic.atoms import SpatialFormula
 from repro.logic.canonical import canonicalize
 from repro.logic.clauses import Clause
-from repro.logic.formula import Entailment, dcell, dlseg, eq, lseg, neq, pts
+from repro.logic.formula import Entailment, dcell, dlseg, eq, lseg, pts
 from repro.logic.parser import parse_entailment
 from repro.logic.terms import Const, NIL, make_const
 from repro.semantics.enumeration import (
-    enumerate_counterexample,
     interpretation_count,
     is_valid_by_enumeration,
 )
