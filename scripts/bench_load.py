@@ -64,7 +64,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 sys.path.insert(0, os.path.join(REPO_ROOT, "scripts"))
 
-from kill_and_resume_smoke import kill_session_leader  # noqa: E402
+from kill_and_resume_smoke import ORPHAN_GRACE_S, kill_session_leader  # noqa: E402
 from repro.core.atomicio import atomic_write_json  # noqa: E402
 from repro.core.faults import FAULT_PLAN_ENV, FaultPlan  # noqa: E402
 from repro.logic.parser import parse_entailment  # noqa: E402
@@ -191,11 +191,6 @@ class Server:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait(timeout=10)
-
-    def kill(self) -> list:
-        """SIGKILL the server; the pids of its session still running 2 s
-        later (orphaned workers, killed before returning)."""
-        return kill_session_leader(self.process)
 
     def __enter__(self) -> "Server":
         return self
@@ -594,7 +589,7 @@ def smoke(args) -> int:
         ) as server:
             latencies, wall, failures = run_phase(server.base, lines, args.clients)
             stats = server.stats()
-            orphans = server.kill()
+            orphans = kill_session_leader(server.process)
     warm_hits = stats["cache"]["hits"] + stats["cache"]["deduplicated"]
     print(
         "[bench_load --smoke] {} requests, {} failures, {} warm hits, {:.1f} rps".format(
@@ -612,8 +607,8 @@ def smoke(args) -> int:
         print("  expected nonzero warm hits on repeated workload", file=sys.stderr)
         return 1
     if orphans:
-        print("  processes {} outlived the SIGKILLed server by 2 s".format(orphans),
-              file=sys.stderr)
+        print("  processes {} outlived the SIGKILLed server by {:g} s".format(
+            orphans, ORPHAN_GRACE_S), file=sys.stderr)
         return 1
     return 0
 

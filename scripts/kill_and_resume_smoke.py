@@ -71,8 +71,23 @@ def _journal_records(path: str) -> int:
         return 0
 
 
+#: How long the members of a killed leader's session may outlive it.
+ORPHAN_GRACE_S = 2.0
+
+
 def session_survivors(session: int) -> list:
-    """Pids of the running processes of ``session`` (zombies do not count)."""
+    """Pids of the running processes of ``session`` (zombies do not count).
+
+    Without ``/proc`` (off Linux) the pids cannot be listed; there the
+    session's process group stands in, reported as ``[session]`` while it
+    has a member left (a zombie not yet reaped counts).
+    """
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(session, 0)
+        except ProcessLookupError:
+            return []
+        return [session]
     survivors = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -88,16 +103,16 @@ def session_survivors(session: int) -> list:
     return survivors
 
 
-def kill_session_leader(process: subprocess.Popen, grace: float = 2.0) -> list:
+def kill_session_leader(process: subprocess.Popen) -> list:
     """SIGKILL ``process``, started in its own session, and return the pids
-    of that session still running ``grace`` seconds later.
+    of that session still running :data:`ORPHAN_GRACE_S` seconds later.
 
     Those survivors are orphans of the killed process; they are SIGKILLed
     before returning, so a failing check leaves no process behind.
     """
     process.send_signal(signal.SIGKILL)
     process.wait()
-    deadline = time.time() + grace
+    deadline = time.time() + ORPHAN_GRACE_S
     survivors = session_survivors(process.pid)
     while survivors and time.time() < deadline:
         time.sleep(0.05)
@@ -196,7 +211,7 @@ def main(argv=None) -> int:
             return 2
         if survivors:
             print("[kill_and_resume] FAIL: processes {} outlived the killed coordinator "
-                  "by 2 s".format(survivors))
+                  "by {:g} s".format(survivors, ORPHAN_GRACE_S))
             return 1
         committed = _journal_records(journal_path)
         print("[kill_and_resume] SIGKILLed coordinator with {} records committed".format(committed))

@@ -41,7 +41,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.config import ProverConfig
 from repro.core.faults import DiskFaultPlan
@@ -234,9 +234,11 @@ class ProofCache:
     def canonical_form(self, entailment: Entailment) -> Optional[CanonicalForm]:
         """Canonicalise, or ``None`` for entailments too symmetric to key.
 
-        The result is memoised under ``entailment`` for as long as the caller
-        (or anyone) holds an equal entailment, and every caller is handed the
-        same :class:`CanonicalForm`: callers read it and never change it.
+        The result is memoised under ``entailment`` while the entailment
+        object first keyed is alive; an equal entailment that outlives it is
+        keyed again.  Until then every caller asking about an equal
+        entailment is handed the same :class:`CanonicalForm`: callers read it
+        and never change it.
         Each call that answers ``None`` counts in :attr:`uncacheable`.
         """
         with self._lock:
@@ -276,6 +278,14 @@ class ProofCache:
         carries no proof: renaming one costs time in its length, so only
         :meth:`answer` does it, for a request that asks for the proof.
         """
+        found = self._lookup(entailment, canonical)
+        return None if found is None else found[0]
+
+    def _lookup(
+        self, entailment: Entailment, canonical: Optional[CanonicalForm]
+    ) -> Optional[Tuple[ProofResult, _CacheEntry, bool]]:
+        """:meth:`lookup`'s hit with the entry that answered it and whether
+        that entry came from the second tier, or ``None`` for a miss."""
         start = time.perf_counter()
         if canonical is None:
             canonical = self.canonical_form(entailment)
@@ -295,28 +305,33 @@ class ProofCache:
                     self._entries.popitem(last=False)
             self._entries.move_to_end(canonical.key)
             self.hits += 1
-        # Entries are immutable; renaming and checking happen outside the
-        # lock so that they do not serialise other lanes.
+        # Entries are immutable, so renaming and checking need no lock (a
+        # caller that holds it across the call still serialises them).
         counterexample = None
         if entry.counterexample is not None:
             counterexample = rename_counterexample(entry.counterexample, canonical.inverse)
             if not _falsifies(counterexample, entailment):
                 with self._lock:
-                    self.hits -= 1
-                    self.disk_hits -= from_disk
-                    self.misses += 1
+                    self._take_back_hit(from_disk)
                     self.rejected += 1
                     if self._entries.get(canonical.key) is entry:
                         del self._entries[canonical.key]
                 return None
         statistics = replace(entry.statistics, elapsed_seconds=time.perf_counter() - start)
-        return ProofResult(
+        result = ProofResult(
             verdict=entry.verdict,
             entailment=entailment,
             counterexample=counterexample,
             statistics=statistics,
             from_cache=True,
         )
+        return result, entry, from_disk
+
+    def _take_back_hit(self, from_disk: bool) -> None:
+        """Count a hit that cannot answer its request as a miss (lock held)."""
+        self.hits -= 1
+        self.disk_hits -= from_disk
+        self.misses += 1
 
     def answer(
         self,
@@ -326,33 +341,35 @@ class ProofCache:
     ) -> Optional[ProofResult]:
         """:meth:`lookup`, with the hit shaped to the request.
 
-        A request that asks for a proof (``record_proof``) gets the entry's
-        proof renamed into its vocabulary; one that does not gets none, as
-        from a fresh prove without proof recording.  A VALID entry stored
-        without a proof cannot answer a request that asks for one: it counts
-        as a miss (``hits``/``disk_hits`` are taken back, ``misses`` grows)
-        and ``None`` is returned, so the caller proves the entailment and its
-        :meth:`store` replaces the entry.
+        A request that does not ask for a proof (``record_proof``) is a plain
+        :meth:`lookup`: its hit carries no proof, as from a fresh prove
+        without proof recording.  One that asks gets the entry's proof
+        renamed into its vocabulary.  A VALID entry stored without a proof
+        cannot answer it: the hit counts as a miss (``hits``/``disk_hits``
+        are taken back, ``misses`` grows) and ``None`` is returned, so the
+        caller proves the entailment and its :meth:`store` replaces the
+        entry.
         """
+        if not record_proof:
+            return self.lookup(entailment, canonical)
         start = time.perf_counter()
         if canonical is None:
             canonical = self.canonical_form(entailment)
             if canonical is None:
                 return None
-        with self._lock:
-            hits, disk_hits = self.hits, self.disk_hits
-            cached = self.lookup(entailment, canonical)
-            if cached is None or not (record_proof and cached.is_valid):
-                return cached
-            # The hit's entry: lookup has just made it the most recent one.
-            proof = self._entries[canonical.key].proof
-            if proof is None:
-                self.hits, self.disk_hits = hits, disk_hits
-                self.misses += 1
-                return None
+        found = self._lookup(entailment, canonical)
+        if found is None:
+            return None
+        cached, entry, from_disk = found
+        if not cached.is_valid:
+            return cached
+        if entry.proof is None:
+            with self._lock:
+                self._take_back_hit(from_disk)
+            return None
         return replace(
             cached,
-            proof=rename_proof(proof, canonical.inverse),
+            proof=rename_proof(entry.proof, canonical.inverse),
             statistics=replace(cached.statistics, elapsed_seconds=time.perf_counter() - start),
         )
 

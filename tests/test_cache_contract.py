@@ -243,6 +243,14 @@ class TestProofOnlyOnRequest:
             (asked,) = engine.prove_all([_renamed(_fresh(), "c")])
             assert asked.from_cache and asked.proof is not None
 
+    def test_a_proofless_disk_entry_does_not_answer_a_proof_request(self, tmp_path):
+        path = str(tmp_path / "proofs.slp")
+        with PersistentProofCache(path) as first:
+            CachingProver(cache=first, config=ProverConfig(record_proof=False)).prove(_fresh())
+        with PersistentProofCache(path) as second:
+            assert second.answer(_renamed(_fresh(), "q"), record_proof=True) is None
+            assert (second.hits, second.misses, second.disk_hits) == (0, 1, 0)
+
     def test_counterexamples_are_always_renamed(self):
         cache = ProofCache()
         CachingProver(cache=cache, config=ProverConfig(record_proof=False)).prove(_fresh(INVALID))
@@ -311,6 +319,43 @@ class TestCounterexampleCheck:
         hit = prover.prove(Entailment.build(lhs=[neq("u", "v"), pts("u", "v")], rhs=[lseg("v", "u")]))
         assert hit.from_cache and hit.is_invalid
         assert cache.rejected == 0
+
+
+def _free_to_other_threads(lock) -> bool:
+    """Can another thread take ``lock`` right now?"""
+    taken = []
+
+    def take():
+        if lock.acquire(blocking=False):
+            lock.release()
+            taken.append(True)
+
+    thread = threading.Thread(target=take)
+    thread.start()
+    thread.join()
+    return bool(taken)
+
+
+@pytest.mark.parametrize("text,record_proof,renamer", [
+    (INVALID, False, "rename_counterexample"),
+    (VALID, True, "rename_proof"),
+], ids=["counterexample", "proof"])
+def test_a_hit_is_renamed_outside_the_cache_lock(monkeypatch, text, record_proof, renamer):
+    """Renaming (and checking) a hit costs time in its size; other lanes must
+    not wait on it."""
+    cache = ProofCache()
+    prover = CachingProver(cache=cache, config=ProverConfig(record_proof=record_proof))
+    prover.prove(_fresh(text))
+    free = []
+    original = getattr(cache_module, renamer)
+
+    def probed(artifact, mapping):
+        free.append(_free_to_other_threads(cache.lock))
+        return original(artifact, mapping)
+
+    monkeypatch.setattr(cache_module, renamer, probed)
+    assert prover.prove(_renamed(_fresh(text), "o")).from_cache
+    assert free == [True]
 
 
 _STORE_WRITER = """
