@@ -49,7 +49,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from repro.benchgen.random_unsat import UnsatParameters, random_unsat_batch  # noqa: E402
 from repro.core.atomicio import atomic_write_json  # noqa: E402
 from repro.core.batch import BatchProver  # noqa: E402
-from repro.core.cache import PersistentProofCache, ProofCache  # noqa: E402
+from repro.core.cache import ProofCache  # noqa: E402
 from repro.core.config import ProverConfig  # noqa: E402
 from repro.core.prover import Prover  # noqa: E402
 from repro.logic.terms import make_const  # noqa: E402
@@ -166,8 +166,8 @@ def run_batch_section(quick: bool, jobs: int):
       copy of the whole corpus proved against the warm cache; the second run
       must answer every instance from the cache with identical verdicts.
     * ``cache_restart`` — the cross-process warm restart: the corpus is
-      proved cold through a :class:`PersistentProofCache` over a temporary
-      store file, that cache is closed (the "coordinator" exits), and a brand
+      proved cold through a :class:`ProofCache` over a temporary store
+      file, that cache is closed (the "coordinator" exits), and a brand
       new cache over the same file proves the alpha-renamed copy — every
       answer must come from the on-disk store (``disk_hits``), with verdicts
       identical to the cold run.
@@ -251,24 +251,19 @@ def run_batch_section(quick: bool, jobs: int):
     store_dir = tempfile.mkdtemp(prefix="slp-bench-store-")
     store_path = os.path.join(store_dir, "proofs.slp")
     try:
-        first = PersistentProofCache(store_path)
-        try:
+        with ProofCache(path=store_path) as first:
             with BatchProver(config, jobs=1, cache=first) as engine:
                 start = time.perf_counter()
                 first_results = engine.prove_all(corpus)
                 first_seconds = time.perf_counter() - start
-        finally:
-            first.close()
-        second = PersistentProofCache(store_path)  # simulated coordinator restart
-        try:
+        # A simulated coordinator restart: a new cache over the same file.
+        with ProofCache(path=store_path) as second:
             with BatchProver(config, jobs=1, cache=second) as engine:
                 start = time.perf_counter()
                 second_results = engine.prove_all(renamed)
                 restart_seconds = time.perf_counter() - start
             disk_hits = second.disk_hits
             keys_on_disk = len(second.disk)
-        finally:
-            second.close()
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
     if [r.is_valid for r in first_results] != [r.is_valid for r in second_results]:
@@ -454,7 +449,7 @@ def main(argv=None) -> int:
             "batch.cache is host-independent: it reports the throughput of "
             "answering an alpha-renamed copy of the corpus from the warm "
             "proof cache.  batch.cache_restart repeats that through a "
-            "PersistentProofCache across two coordinator lifetimes sharing "
+            "store-backed ProofCache across two coordinator lifetimes sharing "
             "one store file: the restarted coordinator's disk_hits count how "
             "many answers were promoted from the on-disk proof store."
         ),

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.baselines.jstar import JStarProver
 from repro.baselines.smallfoot import SmallfootProver
 from repro.core.batch import BatchProver
-from repro.core.cache import PersistentProofCache, ProofCache
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
 from repro.core.prover import Prover, ProverTimeout
 from repro.core.result import ProofResult
@@ -153,7 +153,6 @@ def run_slp_batch(
     cache: Union[bool, ProofCache] = True,
     config: Optional[ProverConfig] = None,
     name: str = "slp",
-    store_path: Optional[str] = None,
 ) -> ProverRun:
     """Run SLP over a batch through the batch engine.
 
@@ -161,40 +160,27 @@ def run_slp_batch(
     enforced inside the prover (instances that exceed it count as unsolved),
     results stream back as they complete so the wall-clock budget cuts the
     run off promptly even with several workers in flight, and alpha-equivalent
-    instances are answered from the proof cache.
-
-    ``store_path`` backs the cache with a persistent on-disk proof store
-    (:mod:`repro.core.store`) owned by this call — the cross-process
-    warm-restart benchmark runs the same batch twice against one store path
-    from two "coordinator" lifetimes and measures the disk hits.
+    instances are answered from the proof cache.  Pass
+    ``cache=ProofCache(path=...)`` to back it with an on-disk proof store
+    (the caller closes it).
     """
     prover_config = (
         (config or ProverConfig()).for_benchmarking().with_timeout(per_instance_timeout)
     )
-    persistent: Optional[PersistentProofCache] = None
-    if store_path is not None:
-        if cache is not True:
-            raise ValueError("store_path replaces the cache argument; pass one or the other")
-        persistent = PersistentProofCache(store_path)
-        cache = persistent
     run = ProverRun(name=name)
     start = time.perf_counter()
-    try:
-        with BatchProver(prover_config, jobs=jobs, cache=cache) as batch:
-            for _, result in batch.iter_results(entailments):
-                run.attempted += 1
-                # Structured failures (timeout/oom/quarantined crash) count as
-                # unsolved, exactly like the baselines' ``None`` answers.
-                if isinstance(result, ProofResult):
-                    run.solved += 1
-                    if result.is_valid:
-                        run.valid += 1
-                run.elapsed = time.perf_counter() - start
-                if budget_seconds is not None and run.elapsed > budget_seconds:
-                    break
-    finally:
-        if persistent is not None:
-            persistent.close()
+    with BatchProver(prover_config, jobs=jobs, cache=cache) as batch:
+        for _, result in batch.iter_results(entailments):
+            run.attempted += 1
+            # Structured failures (timeout/oom/quarantined crash) count as
+            # unsolved, exactly like the baselines' ``None`` answers.
+            if isinstance(result, ProofResult):
+                run.solved += 1
+                if result.is_valid:
+                    run.valid += 1
+            run.elapsed = time.perf_counter() - start
+            if budget_seconds is not None and run.elapsed > budget_seconds:
+                break
     run.elapsed = time.perf_counter() - start
     _finalise_timeout(run, len(entailments))
     return run
@@ -237,7 +223,6 @@ def compare_on_batch(
     extra: Optional[Dict[str, str]] = None,
     slp_jobs: int = 1,
     slp_cache: Union[bool, ProofCache] = False,
-    slp_store_path: Optional[str] = None,
 ) -> TableRow:
     """Run all three provers on a batch and collect a table row.
 
@@ -246,9 +231,7 @@ def compare_on_batch(
     memoisation.  Caching defaults to **off** here so that the paper-style
     columns keep the one-prove-per-instance methodology the baselines use;
     opt in (or pass a shared :class:`ProofCache`) when measuring the batch
-    engine itself rather than the underlying prover.  ``slp_store_path``
-    additionally backs the cache with a persistent store (pass it with
-    ``slp_cache=True``).
+    engine itself rather than the underlying prover.
     """
     row = TableRow(label=label, extra=dict(extra or {}))
     for name, check in default_checkers(per_instance_timeout).items():
@@ -259,7 +242,6 @@ def compare_on_batch(
                 budget_seconds=budget_seconds,
                 jobs=slp_jobs,
                 cache=slp_cache,
-                store_path=slp_store_path,
             )
         else:
             row.runs[name] = run_batch(name, check, entailments, budget_seconds)

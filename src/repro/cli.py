@@ -70,7 +70,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.batch import BatchProver, FailureInfo
-from repro.core.cache import PersistentProofCache
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
 from repro.core.store import JournalMismatch, RunJournal
 from repro.logic.parser import ParseError, parse_entailment
@@ -105,10 +105,12 @@ def _outcome_label(outcome) -> str:
     return "valid" if outcome.is_valid else "invalid"
 
 
-def _print_cache_summary(stats) -> None:
+def _print_cache_summary(stats, cache: ProofCache) -> None:
+    """The ``cache:`` line on standard error; ``cache`` belongs to the run's
+    one batch, so its disk hits are the batch's."""
     print(
         "cache: {} hits ({} from disk), {} misses, {} deduplicated".format(
-            stats.cache_hits, stats.disk_hits, stats.cache_misses, stats.deduplicated
+            stats.cache_hits, cache.disk_hits, stats.cache_misses, stats.deduplicated
         ),
         file=sys.stderr,
     )
@@ -184,7 +186,7 @@ def _run_checkpointed(arguments, parsed, config, workload_digest: str) -> int:
     cache = (
         False
         if arguments.no_cache
-        else PersistentProofCache(os.path.join(arguments.run_dir, "proofs.slp"))
+        else ProofCache(path=os.path.join(arguments.run_dir, "proofs.slp"))
     )
     try:
         with BatchProver(
@@ -222,7 +224,7 @@ def _run_checkpointed(arguments, parsed, config, workload_digest: str) -> int:
     crashed = counted.count("crashed")
     _print_failure_summary(timed_out, oom, crashed, stats)
     if cache is not False:
-        _print_cache_summary(stats)
+        _print_cache_summary(stats, cache)
     return 3 if (oom or crashed) else 0
 
 
@@ -386,11 +388,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
             return exit_code
 
         entailments = [entailment for _, entailment in parsed if entailment is not None]
-        cache = (
-            PersistentProofCache(arguments.store)
-            if arguments.store is not None
-            else not arguments.no_cache
-        )
+        cache = False if arguments.no_cache else ProofCache(path=arguments.store)
         # Every exit from here on — including an exception mid-print (a
         # closed stdout pipe, say) — must release the store's advisory lock,
         # so the close lives in a ``finally`` rather than on the happy path.
@@ -404,12 +402,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
                         print("error    {}".format(line))
                         continue
                     _, result = next(results)
+                    print("{:<8} {}".format(_outcome_label(result), line))
                     if isinstance(result, FailureInfo):
-                        label = result.kind if result.kind in ("timeout", "oom") else "crashed"
-                        print("{:<8} {}".format(label, line))
                         continue
-                    verdict = "valid" if result.is_valid else "invalid"
-                    print("{:<8} {}".format(verdict, line))
                     if arguments.proof and result.proof is not None:
                         print(result.proof.format())
                     if arguments.counterexample and result.counterexample is not None:
@@ -420,11 +415,11 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
                 # respawn counters into it.
                 stats = batch.statistics
         finally:
-            if arguments.store is not None:
+            if cache is not False:
                 cache.close()
         _print_failure_summary(stats.timed_out, stats.oom, stats.quarantined, stats)
-        if not arguments.no_cache:
-            _print_cache_summary(stats)
+        if cache is not False:
+            _print_cache_summary(stats, cache)
         # Timeouts are an honest "undecided within budget" and keep exit 0;
         # crashes and memory blow-ups mean the run did not do what was asked.
         if exit_code == 0 and (stats.quarantined or stats.oom):

@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.cache import ProofCache, rename_counterexample, rename_proof
+from repro.core.cache import CacheEntry, ProofCache
 from repro.core.config import ProverConfig
 from repro.core.faults import FaultPlan, InjectedCrash, apply_fault_before_task, make_unpicklable
 from repro.core.prover import Prover, ProverTimeout
@@ -232,18 +232,15 @@ class BatchStatistics:
     point) and are counted separately.
 
     ``cache_misses`` counts cache lookups the memoisation could not answer
-    (in-batch duplicates miss once before their leader resolves them);
-    ``disk_hits`` is the subset of ``cache_hits`` answered by the persistent
-    second tier (:class:`~repro.core.cache.PersistentProofCache`) rather than
-    the in-memory LRU — nonzero only after a coordinator restart or when
-    another process shares the store.
+    (in-batch duplicates miss once before their leader resolves them).  How
+    many hits the cache's second tier answered is the cache's own count
+    (:attr:`~repro.core.cache.ProofCache.disk_hits`).
     """
 
     total: int = 0
     proved: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    disk_hits: int = 0
     deduplicated: int = 0
     timed_out: int = 0
     oom: int = 0
@@ -267,8 +264,8 @@ class BatchStatistics:
     #: Counter fields summed by :meth:`fold` (everything except ``jobs``,
     #: ``parallel`` and the nested :class:`ProverStatistics` pair).
     _FOLD_COUNTERS = (
-        "total", "proved", "cache_hits", "cache_misses", "disk_hits",
-        "deduplicated", "timed_out", "oom", "quarantined", "retried",
+        "total", "proved", "cache_hits", "cache_misses", "deduplicated",
+        "timed_out", "oom", "quarantined", "retried",
         "respawned_workers", "injected_faults", "valid", "invalid",
         "elapsed_seconds",
     )
@@ -576,54 +573,6 @@ class BatchProver:
         for index, outcome in pool._stream(payloads, priority):
             yield index, self._mark_injected(index, outcome)
 
-    def _echo_for_follower(
-        self,
-        leader_result: ProofResult,
-        leader_canonical: CanonicalForm,
-        follower_entailment: Entailment,
-        follower_canonical: CanonicalForm,
-    ) -> ProofResult:
-        """The leader's verdict renamed into a duplicate's own vocabulary.
-
-        The leader and its followers share one canonical form, so composing
-        the leader's ``renaming`` (own names -> ``c1..cn``) with the
-        follower's ``inverse`` (``c1..cn`` -> follower names) transports the
-        verdict, the proof and the counterexample directly.  Doing the rename
-        here — instead of round-tripping through ``cache.lookup`` — keeps the
-        echo correct even when the leader's entry has already left the cache:
-        a small ``max_entries`` LRU, a consumer that stores into a shared
-        cache between yields, or a store compaction can all evict it before
-        the echo, and the old lookup round-trip crashed the whole batch on
-        ``assert echoed is not None`` when they did.
-        """
-        start = time.perf_counter()
-        from_canonical = dict(follower_canonical.inverse)
-        mapping = {
-            source: from_canonical.get(target, target)
-            for source, target in leader_canonical.renaming.items()
-        }
-        proof = (
-            rename_proof(leader_result.proof, mapping)
-            if leader_result.proof is not None
-            else None
-        )
-        counterexample = (
-            rename_counterexample(leader_result.counterexample, mapping)
-            if leader_result.counterexample is not None
-            else None
-        )
-        statistics = replace(
-            leader_result.statistics, elapsed_seconds=time.perf_counter() - start
-        )
-        return ProofResult(
-            verdict=leader_result.verdict,
-            entailment=follower_entailment,
-            proof=proof,
-            counterexample=counterexample,
-            statistics=statistics,
-            from_cache=True,
-        )
-
     def iter_results(
         self,
         entailments: Iterable[Entailment],
@@ -668,20 +617,20 @@ class BatchProver:
         start = time.perf_counter()
         # Batch-local accounting: the shared object is only touched in the
         # ``finally`` fold.  The shared cache's own counters move under its
-        # internal lock; this batch's share is attributed per-lookup (a
-        # before/after delta over the whole batch would double-count under
-        # concurrent lanes).
+        # internal lock.
         stats = BatchStatistics(jobs=self.jobs)
 
-        def settle(index: int, outcome: BatchOutcome) -> None:
+        def settle(index: int, outcome: BatchOutcome) -> Optional[CacheEntry]:
             # Account for a freshly executed outcome; cache it if a verdict.
+            entry = None
             if isinstance(outcome, ProofResult):
                 stats.absorb_proved(outcome)
                 if self.cache is not None and index in canonicals:
-                    self.cache.store(batch[index], outcome, canonicals[index])
+                    entry = self.cache.store(batch[index], outcome, canonicals[index])
             else:
                 stats.absorb_failure(outcome)
             stats.count_verdict(outcome)
+            return entry
 
         canonicals: Dict[int, CanonicalForm] = {}
         try:
@@ -696,15 +645,9 @@ class BatchProver:
                     leaders.append((index, entailment))
                     continue
                 canonicals[index] = canonical
-                # Hold the cache lock across lookup + disk_hits delta so the
-                # "did the second tier answer this?" attribution is atomic.
                 # A proof request is not answered by an entry without one:
                 # that entry counts as a miss and is proved (and replaced).
-                with self.cache.lock:
-                    disk_hits_before = self.cache.disk_hits
-                    cached = self.cache.answer(entailment, canonical, wants_proof)
-                    if cached is not None:
-                        stats.disk_hits += self.cache.disk_hits - disk_hits_before
+                cached = self.cache.answer(entailment, canonical, wants_proof)
                 if cached is not None:
                     stats.cache_hits += 1
                     stats.count_verdict(cached)
@@ -720,34 +663,37 @@ class BatchProver:
 
             orphans: List[Tuple[int, Entailment]] = []
             for index, outcome in self._execute(leaders, overrides, stats, priority):
-                settle(index, outcome)
+                entry = settle(index, outcome)
                 yield index, outcome
                 for duplicate in followers.get(index, ()):
-                    if isinstance(outcome, ProofResult):
-                        # Rename the leader's result directly; echoes are
-                        # *dedup* events, not cache traffic — they must not
-                        # depend on the entry surviving in the cache, and
-                        # they must not inflate its hit counters.
-                        echoed = self._echo_for_follower(
-                            outcome,
-                            canonicals[index],
+                    if entry is not None:
+                        # Echo from the leader's entry, held here, so that
+                        # an eviction between yields cannot take it away.
+                        # Echoes are dedup events, not cache traffic: they
+                        # move no cache counter.
+                        echoed = entry.answer(
                             batch[duplicate],
-                            canonicals[duplicate],
+                            canonicals[duplicate].inverse,
+                            wants_proof,
+                            time.perf_counter(),
                         )
-                        stats.deduplicated += 1
-                        stats.count_verdict(echoed)
-                        yield duplicate, echoed
+                        if echoed is not None:
+                            stats.deduplicated += 1
+                            stats.count_verdict(echoed)
+                            yield duplicate, echoed
+                            continue
                     elif outcome.kind in ("timeout", "oom") and not outcome.injected:
                         # A genuine budget exhaustion is a property of the
                         # instance; its alpha-equivalent copies would exhaust
                         # the same budget.  Echo the failure (frozen, shareable).
                         stats.count_verdict(outcome)
                         yield duplicate, outcome
-                    else:
-                        # The representative crashed (or its failure was
-                        # injected): that says nothing about the instance.
-                        # Re-dispatch the copies on their own merits.
-                        orphans.append((duplicate, batch[duplicate]))
+                        continue
+                    # The representative crashed (or its failure was
+                    # injected), or its counterexample does not falsify this
+                    # copy: that says nothing about the copy.  Re-dispatch it
+                    # on its own merits.
+                    orphans.append((duplicate, batch[duplicate]))
 
             for index, outcome in self._execute(orphans, overrides, stats, priority):
                 settle(index, outcome)

@@ -9,29 +9,21 @@ renamings, so proving one representative per alpha-equivalence class is
 enough.
 
 :class:`ProofCache` implements that memoisation as an LRU map from the
-canonical fingerprint (:mod:`repro.logic.canonical`) to the verdict plus the
-proof/counterexample expressed in the *canonical* vocabulary ``c1..cn``.  On
-a hit the stored objects are renamed back into the requesting entailment's
-own vocabulary, so callers cannot tell a cached result from a fresh one
-(apart from the :attr:`~repro.core.result.ProofResult.from_cache` flag and
-the much smaller elapsed time).  A hit carries a proof only when the request
-asked for one, and its counterexample only once it has been checked to
-falsify the request.  Each live entailment is canonicalised once: the cache
-memoises its form under weak keys (:meth:`ProofCache.canonical_form`).
+canonical fingerprint (:mod:`repro.logic.canonical`) to a
+:class:`CacheEntry`: the verdict plus the proof/counterexample expressed in
+the *canonical* vocabulary ``c1..cn``.  :meth:`CacheEntry.answer` is the one
+way an entry answers an alpha-equivalent request, for cache hits and for the
+batch engine's in-batch echoes alike: it renames the counterexample back and
+checks that it falsifies the request, and renames the proof only when the
+request asked for one.  So callers cannot tell a cached result from a fresh
+one, apart from the :attr:`~repro.core.result.ProofResult.from_cache` flag
+and the much smaller elapsed time.  Each live entailment is canonicalised
+once: the cache memoises its form under weak keys.
 
-:class:`CachingProver` wraps a :class:`~repro.core.prover.Prover` with a
-cache for sequential use; the parallel batch engine
-(:mod:`repro.core.batch`) drives the cache directly so that it can also
-deduplicate in-flight work.
-
-:class:`PersistentProofCache` adds a write-through on-disk second tier
-(:mod:`repro.core.store`): every stored entry is also appended to a
-crash-safe :class:`~repro.core.store.ProofStore`, and a memory miss falls
-through to disk before giving up.  Disk hits are promoted into the LRU and
-counted separately (:attr:`~ProofCache.disk_hits`), which is what makes the
-warm-restart bench row measurable.  Disk failures never propagate out of the
-cache: a failed persist is counted and skipped (the memory tier keeps
-working), a damaged record is a miss.
+Given a ``path``, the cache writes every entry through to a crash-safe
+:class:`~repro.core.store.ProofStore`, and a memory miss falls through to
+disk.  Disk hits are promoted into the LRU and counted in
+:attr:`~ProofCache.disk_hits`.
 """
 
 from __future__ import annotations
@@ -41,12 +33,10 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-from repro.core.config import ProverConfig
 from repro.core.faults import DiskFaultPlan
 from repro.core.proof import Proof, ProofStep
-from repro.core.prover import Prover
 from repro.core.result import ProofResult, Verdict
 from repro.core.store import ProofStore
 from repro.logic.canonical import CanonicalForm, TooSymmetricError, canonicalize
@@ -57,9 +47,8 @@ from repro.semantics.heap import Heap, NIL_LOC, Stack
 from repro.semantics.satisfaction import falsifies_entailment
 
 __all__ = [
+    "CacheEntry",
     "ProofCache",
-    "PersistentProofCache",
-    "CachingProver",
     "rename_proof",
     "rename_counterexample",
 ]
@@ -144,13 +133,48 @@ def _falsifies(counterexample: Counterexample, entailment: Entailment) -> bool:
 
 
 @dataclass(frozen=True)
-class _CacheEntry:
+class CacheEntry:
     """A memoised verdict with its artifacts in the canonical vocabulary."""
 
     verdict: Verdict
     proof: Optional[Proof]
     counterexample: Optional[Counterexample]
     statistics: object  # ProverStatistics of the run that produced the entry
+
+    def answer(
+        self,
+        entailment: Entailment,
+        inverse: Mapping[Const, Const],
+        record_proof: bool,
+        start: float,
+    ) -> Optional[ProofResult]:
+        """This entry's verdict for an alpha-equivalent ``entailment``, or
+        ``None`` when the entry cannot answer it and the caller must prove it.
+
+        ``inverse`` maps ``c1..cn`` to the request's names.  A counterexample
+        that does not falsify the request cannot answer it, nor can a VALID
+        entry without a proof answer a request for one (``record_proof``).
+        The proof is renamed only for such a request.  Entries are immutable,
+        so no lock is needed.  The answer's elapsed time counts from the
+        :func:`time.perf_counter` reading ``start``.
+        """
+        counterexample = proof = None
+        if self.counterexample is not None:
+            counterexample = rename_counterexample(self.counterexample, inverse)
+            if not _falsifies(counterexample, entailment):
+                return None
+        if record_proof and self.verdict is Verdict.VALID:
+            if self.proof is None:
+                return None
+            proof = rename_proof(self.proof, inverse)
+        return ProofResult(
+            verdict=self.verdict,
+            entailment=entailment,
+            proof=proof,
+            counterexample=counterexample,
+            statistics=replace(self.statistics, elapsed_seconds=time.perf_counter() - start),
+            from_cache=True,
+        )
 
 
 class ProofCache:
@@ -160,38 +184,49 @@ class ProofCache:
     the coordinating process (workers stay stateless).  ``max_entries``
     bounds memory; the least recently used entry is evicted first.
 
+    ``path`` adds a write-through second tier, a
+    :class:`~repro.core.store.ProofStore` (:attr:`disk`), so that a new
+    coordinator process, or a concurrent one sharing the file, starts warm.
+    The disk tier never makes the prover less reliable than a memory-only
+    cache: a failed persist (ENOSPC, a torn write, a retired handle) is
+    counted in :attr:`persist_errors` and the entry stays memory-only, and
+    a damaged record reads as a miss.  ``fault_plan`` disturbs the store's
+    appends (chaos testing).  :meth:`close` (or the context manager)
+    releases the store's file handle and lock.
+
     Lookups, stores and counter updates are serialised by an internal
     re-entrant lock, so concurrent dispatcher lanes may share one cache.
-    The lock also guards the canonical-form memo; canonicalisation itself
-    runs outside it.
-    Note the sidecar file locks of a persistent second tier are advisory
-    *inter-process* locks (fcntl) — they do nothing between threads of one
-    process, which is exactly what this lock covers.  Callers needing a
-    multi-step atomic read (e.g. a lookup plus a ``disk_hits`` delta) can
-    hold :attr:`lock` around the sequence; it is re-entrant.
+    The lock also guards the canonical-form memo and the store's file
+    handle, which is not thread-safe; canonicalisation and the renaming and
+    checking of a hit run outside it.  (The store's fcntl lock is between
+    processes only.)
     """
 
-    def __init__(self, max_entries: int = 4096):
+    def __init__(
+        self,
+        max_entries: int = 4096,
+        path: Optional[str] = None,
+        fault_plan: Optional[DiskFaultPlan] = None,
+    ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         # Entailment -> its form, or None for an opt-out.  Weak keys: an
         # entry lives only while a caller holds an equal entailment.
         self._forms: "weakref.WeakKeyDictionary[Entailment, Optional[CanonicalForm]]" = (
             weakref.WeakKeyDictionary()
         )
         self._lock = threading.RLock()
+        self.disk: Optional[ProofStore] = (
+            None if path is None else ProofStore(path, fault_plan=fault_plan)
+        )
         self.hits = 0
         self.misses = 0
         self.uncacheable = 0
         self.disk_hits = 0  # subset of ``hits`` answered by the second tier
         self.rejected = 0  # hits whose counterexample failed the request
-
-    @property
-    def lock(self) -> "threading.RLock":
-        """The cache's re-entrant lock, for callers composing atomic sequences."""
-        return self._lock
+        self.persist_errors = 0
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
@@ -222,13 +257,17 @@ class ProofCache:
             self.disk_hits = 0
             self.rejected = 0
 
-    # -- second-tier hooks -------------------------------------------------
-    def _fetch_second_tier(self, key: tuple) -> Optional[_CacheEntry]:
-        """A memory miss falls through here; ``None`` means a full miss."""
-        return None
+    # -- lifecycle ---------------------------------------------------------
+    def close(self) -> None:
+        """Release the store's file handle and lock (no-op without a store)."""
+        if self.disk is not None:
+            self.disk.close()
 
-    def _persist(self, key: tuple, entry: _CacheEntry) -> None:
-        """Write-through hook called after every in-memory store."""
+    def __enter__(self) -> "ProofCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- canonicalisation --------------------------------------------------
     def canonical_form(self, entailment: Entailment) -> Optional[CanonicalForm]:
@@ -269,69 +308,10 @@ class ProofCache:
 
         Pass ``canonical`` when the caller already canonicalised (the batch
         engine does, to share the work between lookup, dedup and store).
-
-        The hit carries the entry's counterexample, renamed and then checked
-        against ``entailment``.  One that does not falsify it is *rejected*:
-        the hit counts as a miss (and in :attr:`rejected`), the memory entry
-        is dropped and ``None`` is returned, so the caller proves the
-        entailment afresh and its :meth:`store` replaces the entry.  The hit
-        carries no proof: renaming one costs time in its length, so only
-        :meth:`answer` does it, for a request that asks for the proof.
+        The hit carries no proof (see :meth:`answer` for one that asks), and
+        its counterexample only once checked against ``entailment``.
         """
-        found = self._lookup(entailment, canonical)
-        return None if found is None else found[0]
-
-    def _lookup(
-        self, entailment: Entailment, canonical: Optional[CanonicalForm]
-    ) -> Optional[Tuple[ProofResult, _CacheEntry, bool]]:
-        """:meth:`lookup`'s hit with the entry that answered it and whether
-        that entry came from the second tier, or ``None`` for a miss."""
-        start = time.perf_counter()
-        if canonical is None:
-            canonical = self.canonical_form(entailment)
-        if canonical is None:
-            return None
-        with self._lock:
-            entry = self._entries.get(canonical.key)
-            from_disk = entry is None
-            if from_disk:
-                entry = self._fetch_second_tier(canonical.key)
-                if entry is None:
-                    self.misses += 1
-                    return None
-                self.disk_hits += 1
-                self._entries[canonical.key] = entry  # promote into the LRU
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-            self._entries.move_to_end(canonical.key)
-            self.hits += 1
-        # Entries are immutable, so renaming and checking need no lock (a
-        # caller that holds it across the call still serialises them).
-        counterexample = None
-        if entry.counterexample is not None:
-            counterexample = rename_counterexample(entry.counterexample, canonical.inverse)
-            if not _falsifies(counterexample, entailment):
-                with self._lock:
-                    self._take_back_hit(from_disk)
-                    self.rejected += 1
-                    if self._entries.get(canonical.key) is entry:
-                        del self._entries[canonical.key]
-                return None
-        statistics = replace(entry.statistics, elapsed_seconds=time.perf_counter() - start)
-        result = ProofResult(
-            verdict=entry.verdict,
-            entailment=entailment,
-            counterexample=counterexample,
-            statistics=statistics,
-            from_cache=True,
-        )
-        return result, entry, from_disk
-
-    def _take_back_hit(self, from_disk: bool) -> None:
-        """Count a hit that cannot answer its request as a miss (lock held)."""
-        self.hits -= 1
-        self.disk_hits -= from_disk
-        self.misses += 1
+        return self._lookup(entailment, canonical, record_proof=False)
 
     def answer(
         self,
@@ -344,101 +324,63 @@ class ProofCache:
         A request that does not ask for a proof (``record_proof``) is a plain
         :meth:`lookup`: its hit carries no proof, as from a fresh prove
         without proof recording.  One that asks gets the entry's proof
-        renamed into its vocabulary.  A VALID entry stored without a proof
-        cannot answer it: the hit counts as a miss (``hits``/``disk_hits``
-        are taken back, ``misses`` grows) and ``None`` is returned, so the
-        caller proves the entailment and its :meth:`store` replaces the
-        entry.
+        renamed into its vocabulary.
         """
         if not record_proof:
             return self.lookup(entailment, canonical)
+        return self._lookup(entailment, canonical, record_proof=True)
+
+    def _lookup(
+        self,
+        entailment: Entailment,
+        canonical: Optional[CanonicalForm],
+        record_proof: bool,
+    ) -> Optional[ProofResult]:
+        """One lookup: the entry's :meth:`CacheEntry.answer`, or ``None``.
+
+        A hit the entry cannot answer is taken back here, the one place:
+        it counts as a miss, and when its counterexample did not falsify the
+        request also in :attr:`rejected`, with its memory entry dropped.
+        Either way the caller proves the entailment afresh and its
+        :meth:`store` replaces the entry.
+        """
         start = time.perf_counter()
         if canonical is None:
             canonical = self.canonical_form(entailment)
             if canonical is None:
                 return None
-        found = self._lookup(entailment, canonical)
-        if found is None:
-            return None
-        cached, entry, from_disk = found
-        if not cached.is_valid:
-            return cached
-        if entry.proof is None:
-            with self._lock:
-                self._take_back_hit(from_disk)
-            return None
-        return replace(
-            cached,
-            proof=rename_proof(entry.proof, canonical.inverse),
-            statistics=replace(cached.statistics, elapsed_seconds=time.perf_counter() - start),
-        )
-
-    def store(
-        self,
-        entailment: Entailment,
-        result: ProofResult,
-        canonical: Optional[CanonicalForm] = None,
-    ) -> bool:
-        """Memoise ``result`` under the entailment's fingerprint.
-
-        Returns ``False`` when the entailment is uncacheable.  The proof and
-        counterexample are renamed into the canonical vocabulary so any
-        alpha-equivalent future query can rename them back into its own.
-        """
-        if canonical is None:
-            canonical = self.canonical_form(entailment)
-        if canonical is None:
-            return False
-        renaming = canonical.renaming
-        proof = rename_proof(result.proof, renaming) if result.proof is not None else None
-        counterexample = (
-            rename_counterexample(result.counterexample, renaming)
-            if result.counterexample is not None
-            else None
-        )
-        entry = _CacheEntry(
-            verdict=result.verdict,
-            proof=proof,
-            counterexample=counterexample,
-            statistics=result.statistics,
-        )
+        key = canonical.key
         with self._lock:
-            self._entries[canonical.key] = entry
-            self._entries.move_to_end(canonical.key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-            # Persisting under the lock also serialises the second tier's
-            # file handle, which is not thread-safe on its own.
-            self._persist(canonical.key, entry)
-        return True
+            entry = self._entries.get(key)
+            from_disk = entry is None
+            if from_disk:
+                entry = self._read_disk(key)
+                if entry is None:
+                    self.misses += 1
+                    return None
+                self._remember(key, entry)  # promote into the LRU
+            else:
+                self._entries.move_to_end(key)
+            self.hits += 1
+            self.disk_hits += from_disk
+        result = entry.answer(entailment, canonical.inverse, record_proof, start)
+        if result is None:
+            with self._lock:
+                self.hits -= 1
+                self.disk_hits -= from_disk
+                self.misses += 1
+                if entry.counterexample is not None:
+                    self.rejected += 1
+                    if self._entries.get(key) is entry:
+                        del self._entries[key]
+        return result
 
+    def _read_disk(self, key: tuple) -> Optional[CacheEntry]:
+        """The second tier's entry for ``key`` (lock held), or ``None``.
 
-class PersistentProofCache(ProofCache):
-    """A :class:`ProofCache` backed by an on-disk :class:`ProofStore`.
-
-    Write-through: every memoised entry is also appended to the store, so a
-    new coordinator process (or a concurrent one sharing the file) starts
-    warm.  Entries evicted from the LRU remain on disk; a later lookup for
-    them is a :attr:`disk_hits` hit and re-promotes them.
-
-    The disk tier must never make the prover less reliable than a memory-only
-    cache, so every store failure is absorbed: persist errors (ENOSPC, torn
-    writes, a retired handle) are counted in :attr:`persist_errors` and the
-    entry simply stays memory-only; damaged records read back as misses.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        max_entries: int = 4096,
-        fault_plan: Optional[DiskFaultPlan] = None,
-    ):
-        super().__init__(max_entries=max_entries)
-        self.disk = ProofStore(path, fault_plan=fault_plan)
-        self.persist_errors = 0
-
-    def _fetch_second_tier(self, key: tuple) -> Optional[_CacheEntry]:
-        found = self.disk.get(key)
+        A record whose verdict value does not parse reads as a miss.
+        """
+        found = self.disk.get(key) if self.disk is not None else None
         if found is None:
             return None
         verdict_value, proof, counterexample, statistics = found
@@ -446,62 +388,56 @@ class PersistentProofCache(ProofCache):
             verdict = Verdict(verdict_value)
         except ValueError:
             return None
-        return _CacheEntry(
-            verdict=verdict,
-            proof=proof,
-            counterexample=counterexample,
-            statistics=statistics,
-        )
+        return CacheEntry(verdict, proof, counterexample, statistics)
 
-    def _persist(self, key: tuple, entry: _CacheEntry) -> None:
-        try:
-            self.disk.put(
-                key,
-                entry.verdict.value,
-                entry.proof,
-                entry.counterexample,
-                entry.statistics,
-            )
-        except OSError:
-            self.persist_errors += 1
+    def _remember(self, key: tuple, entry: CacheEntry) -> None:
+        """Put ``entry`` at the young end of the LRU (lock held)."""
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
-    def close(self) -> None:
-        """Release the store's file handle and lock."""
-        self.disk.close()
-
-    def __enter__(self) -> "PersistentProofCache":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class CachingProver:
-    """A drop-in ``prove()`` front that consults a :class:`ProofCache` first.
-
-    Misses are proved on the *original* entailment (so an uncached call is
-    bit-identical to a bare :class:`Prover`) and then stored canonically.
-    """
-
-    def __init__(
+    def store(
         self,
-        prover: Optional[Prover] = None,
-        cache: Optional[ProofCache] = None,
-        config: Optional[ProverConfig] = None,
-    ):
-        self.prover = prover if prover is not None else Prover(config)
-        self.cache = cache if cache is not None else ProofCache()
+        entailment: Entailment,
+        result: ProofResult,
+        canonical: Optional[CanonicalForm] = None,
+    ) -> Optional[CacheEntry]:
+        """Memoise ``result`` under the entailment's fingerprint.
 
-    def prove(self, entailment: Entailment) -> ProofResult:
-        """Decide ``entailment``, answering from the cache when possible."""
-        canonical = self.cache.canonical_form(entailment)
-        if canonical is not None:
-            cached = self.cache.answer(
-                entailment, canonical, record_proof=self.prover.config.record_proof
-            )
-            if cached is not None:
-                return cached
-        result = self.prover.prove(entailment)
-        if canonical is not None:
-            self.cache.store(entailment, result, canonical)
-        return result
+        Returns the memoised entry, or ``None`` when the entailment is
+        uncacheable.  The proof and counterexample are renamed into the
+        canonical vocabulary, so the entry can answer any alpha-equivalent
+        request (:meth:`CacheEntry.answer`) — also after it has left the
+        LRU, which is how the batch engine answers in-batch duplicates.
+        """
+        if canonical is None:
+            canonical = self.canonical_form(entailment)
+        if canonical is None:
+            return None
+        renaming = canonical.renaming
+        entry = CacheEntry(
+            verdict=result.verdict,
+            proof=None if result.proof is None else rename_proof(result.proof, renaming),
+            counterexample=(
+                None
+                if result.counterexample is None
+                else rename_counterexample(result.counterexample, renaming)
+            ),
+            statistics=result.statistics,
+        )
+        with self._lock:
+            self._remember(canonical.key, entry)
+            if self.disk is not None:
+                # Under the lock: the store's file handle is not thread-safe.
+                try:
+                    self.disk.put(
+                        canonical.key,
+                        entry.verdict.value,
+                        entry.proof,
+                        entry.counterexample,
+                        entry.statistics,
+                    )
+                except OSError:
+                    self.persist_errors += 1
+        return entry

@@ -172,7 +172,7 @@ class _ScanResult:
 
     def __init__(self) -> None:
         self.records: List[Tuple[bytes, int, int, bytes]] = []  # digest, offset, end, payload
-        self.end_offset: int = _HEADER_SIZE
+        self.end_offset: int = _HEADER_SIZE  # end of the last valid record
         self.damage_offset: Optional[int] = None
         self.corrupt_midfile: bool = False
 
@@ -186,7 +186,7 @@ def _scan(data: bytes) -> _ScanResult:
         if parsed is None:
             result.damage_offset = offset
             result.corrupt_midfile = _find_valid_record_after(data, offset)
-            return result
+            break
         digest, payload, end = parsed
         result.records.append((digest, offset, end, payload))
         offset = end
@@ -379,10 +379,7 @@ class _RecordFile:
             return
         scan = _scan(data)
         if scan.damage_offset is None:
-            self._adopt(fd, scan.end_offset)
-            self._on_reset()
-            for digest, offset, end, payload in scan.records:
-                self._on_record(digest, offset, end, payload)
+            self._load(fd, scan)
             return
         if not scan.corrupt_midfile:
             # Torn tail: everything before the damage is intact; cut the tear.
@@ -390,10 +387,7 @@ class _RecordFile:
             fd.flush()
             os.fsync(fd.fileno())
             self.statistics.torn_truncations += 1
-            self._adopt(fd, scan.damage_offset)
-            self._on_reset()
-            for digest, offset, end, payload in scan.records:
-                self._on_record(digest, offset, end, payload)
+            self._load(fd, scan)
             return
         # Mid-file corruption: salvage every valid record (before *and* after
         # the damage — resync via the record magic), rebuild a fresh file.
@@ -424,6 +418,14 @@ class _RecordFile:
         rebuilt.flush()
         os.fsync(rebuilt.fileno())
         self._adopt(rebuilt, offset)
+
+    def _load(self, fd: io.BufferedRandom, scan: _ScanResult) -> None:
+        """Adopt ``fd`` and rebuild the in-memory view from ``scan``'s
+        records; appends go after the last of them."""
+        self._adopt(fd, scan.end_offset)
+        self._on_reset()
+        for digest, offset, end, payload in scan.records:
+            self._on_record(digest, offset, end, payload)
 
     # -- subclass hooks ----------------------------------------------------
     def _on_reset(self) -> None:
@@ -456,11 +458,7 @@ class _RecordFile:
             if len(data) < _HEADER_SIZE or data[:_HEADER_SIZE] != self._header_bytes():
                 fd.close()
                 return
-            scan = _scan(data)
-            self._adopt(fd, scan.end_offset)
-            self._on_reset()
-            for digest, offset, end, payload in scan.records:
-                self._on_record(digest, offset, end, payload)
+            self._load(fd, _scan(data))
             self.statistics.refreshes += 1
             return
         if stat.st_size <= self._offset:
@@ -609,10 +607,6 @@ class ProofStore(_RecordFile):
     @property
     def dead_records(self) -> int:
         return self._records - len(self._index)
-
-    def keys_on_disk(self) -> int:
-        """Live record count (distinct key digests)."""
-        return len(self._index)
 
     # -- lookup / store ----------------------------------------------------
     def get(self, key: Any) -> Optional[Tuple[Any, ...]]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.batch import BatchProver
-from repro.core.cache import PersistentProofCache
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
 from repro.core.faults import FaultPlan
 from repro.core.result import ProofResult
@@ -447,7 +447,7 @@ def _prove_batch_journaled(
         if isinstance(detail, str):
             crash_details[slot] = detail
     pending = [slot for slot in range(len(items)) if slot not in restored]
-    cache = PersistentProofCache(os.path.join(run_dir, "proofs.slp"))
+    cache = ProofCache(path=os.path.join(run_dir, "proofs.slp"))
     try:
         with BatchProver(config, jobs=jobs, cache=cache, retries=retries) as batch:
             for position, outcome in batch.iter_results(

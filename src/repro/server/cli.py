@@ -71,20 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         " (default {:.0f}s)".format(DEFAULT_TIMEOUT),
     )
     parser.add_argument(
-        "--cache-entries",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="in-memory LRU capacity of the proof cache (default 4096)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="crash retries before a task is quarantined (default 2)",
-    )
-    parser.add_argument(
         "--max-queue-requests",
         type=int,
         default=DEFAULT_MAX_QUEUE_REQUESTS,
@@ -135,8 +121,6 @@ def serve_main(argv: Optional[Iterable[str]] = None) -> int:
         config,
         jobs=arguments.jobs,
         store_path=arguments.store,
-        cache_entries=arguments.cache_entries,
-        retries=arguments.retries,
         max_queue_requests=arguments.max_queue_requests,
         max_queue_entailments=arguments.max_queue_entailments,
     )

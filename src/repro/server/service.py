@@ -2,7 +2,7 @@
 
 :class:`ProofService` owns the state that makes the server worth running —
 one :class:`~repro.core.batch.BatchProver` whose worker pool stays warm and
-whose cache (optionally a :class:`~repro.core.cache.PersistentProofCache`)
+whose :class:`~repro.core.cache.ProofCache` (optionally backed by a store)
 accumulates across requests — and exposes exactly one
 entry point, :meth:`ProofService.submit`, which enqueues a request and
 returns a :class:`concurrent.futures.Future`.
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.batch import BatchOutcome, BatchProver, FailureInfo
-from repro.core.cache import PersistentProofCache, ProofCache
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
 from repro.logic.formula import Entailment
 
@@ -178,8 +178,6 @@ class ProofService:
         config: Optional[ProverConfig] = None,
         jobs: int = 1,
         store_path: Optional[str] = None,
-        cache_entries: int = 4096,
-        retries: int = 2,
         max_queue_requests: int = DEFAULT_MAX_QUEUE_REQUESTS,
         max_queue_entailments: int = DEFAULT_MAX_QUEUE_ENTAILMENTS,
     ):
@@ -189,11 +187,8 @@ class ProofService:
         self.lanes = min(max(1, jobs), 4)  # dispatcher threads
         self.max_queue_requests = max_queue_requests
         self.max_queue_entailments = max_queue_entailments
-        if store_path is not None:
-            cache: ProofCache = PersistentProofCache(store_path, max_entries=cache_entries)
-        else:
-            cache = ProofCache(max_entries=cache_entries)
-        self.batch = BatchProver(self.config, jobs=jobs, cache=cache, retries=retries)
+        self.cache = ProofCache(path=store_path)
+        self.batch = BatchProver(self.config, jobs=jobs, cache=self.cache)
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._sequence = itertools.count()
         self._lock = threading.Lock()
@@ -445,7 +440,7 @@ class ProofService:
     def stats(self) -> Dict[str, object]:
         """A JSON-ready snapshot of service, cache, pool and store counters."""
         batch_stats = self.batch.statistics
-        cache = self.batch.cache
+        cache = self.cache
         live_pool = self.batch.pool_counters()
         with self._lock:
             latency = _latency_summary(self._latencies, self._histogram)
@@ -494,24 +489,22 @@ class ProofService:
             "queue_wait": queue_wait,
             "execution": execution,
         }
-        if cache is not None:
-            snapshot["cache"] = {
-                "entries": len(cache),
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "uncacheable": cache.uncacheable,
-                "disk_hits": cache.disk_hits,
-                "rejected": cache.rejected,
-                "hit_rate": cache.hit_rate,
-                "deduplicated": batch_stats.deduplicated,
-            }
-        if isinstance(cache, PersistentProofCache):
-            disk = cache.disk
+        snapshot["cache"] = {
+            "entries": len(cache),
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "uncacheable": cache.uncacheable,
+            "disk_hits": cache.disk_hits,
+            "rejected": cache.rejected,
+            "hit_rate": cache.hit_rate,
+            "deduplicated": batch_stats.deduplicated,
+        }
+        if cache.disk is not None:
             store: Dict[str, object] = {
                 "persist_errors": cache.persist_errors,
-                "records_live": len(disk),
+                "records_live": len(cache.disk),
             }
-            store.update(disk.statistics.to_json())
+            store.update(cache.disk.statistics.to_json())
             snapshot["store"] = store
         return snapshot
 
@@ -544,10 +537,8 @@ class ProofService:
                     request.future.set_exception(
                         ServiceClosed("the proof service closed before dispatch")
                     )
-        cache = self.batch.cache
         self.batch.close()
-        if isinstance(cache, PersistentProofCache):
-            cache.close()
+        self.cache.close()
 
     def __enter__(self) -> "ProofService":
         return self

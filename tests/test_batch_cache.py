@@ -15,7 +15,7 @@ import pytest
 
 import repro.core.cache as cache_module
 from repro.core.batch import BatchProver, FailureInfo, default_jobs
-from repro.core.cache import CachingProver, ProofCache
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
 from repro.core.prover import Prover, ProverTimeout
 from repro.frontend import all_programs, generate_vcs, prove_procedure
@@ -47,21 +47,27 @@ def _small_corpus(count: int = 40, seed: int = 9):
     ]
 
 
+def _prove(engine: BatchProver, entailment: Entailment):
+    """One entailment as a batch of its own: a cache lookup, then a prove."""
+    (outcome,) = engine.prove_all([entailment])
+    return outcome
+
+
 # ---------------------------------------------------------------------------
-# ProofCache / CachingProver
+# ProofCache
 # ---------------------------------------------------------------------------
 
 
 class TestProofCache:
     def test_hit_matches_fresh_proof_on_alpha_renamed_queries(self):
         """A cache hit returns the fresh verdict, with artifacts mapped back."""
-        caching = CachingProver(config=ProverConfig())
+        caching = BatchProver(ProverConfig(), jobs=1)
         fresh_prover = Prover(ProverConfig())
         for index, entailment in enumerate(_small_corpus(25)):
-            first = caching.prove(entailment)
+            first = _prove(caching, entailment)
             assert not first.from_cache
             renamed = _alpha(entailment, "copy{}".format(index % 3))
-            cached = caching.prove(renamed)
+            cached = _prove(caching, renamed)
             fresh = fresh_prover.prove(renamed)
             assert cached.from_cache
             assert cached.verdict == fresh.verdict
@@ -76,35 +82,35 @@ class TestProofCache:
 
     def test_conjunct_reordering_also_hits(self):
         cache = ProofCache()
-        caching = CachingProver(config=ProverConfig(), cache=cache)
+        caching = BatchProver(ProverConfig(), jobs=1, cache=cache)
         entailment = Entailment.build(
             lhs=[neq("a", "b"), neq("b", "nil"), pts("a", "b"), lseg("b", "nil")],
             rhs=[lseg("a", "nil")],
         )
-        caching.prove(entailment)
+        _prove(caching, entailment)
         reordered = Entailment(
             tuple(reversed(entailment.lhs_pure)),
             entailment.lhs_spatial,
             entailment.rhs_pure,
             entailment.rhs_spatial,
         )
-        assert caching.prove(reordered).from_cache
+        assert _prove(caching, reordered).from_cache
         assert cache.hits == 1
 
     def test_lru_eviction(self):
         cache = ProofCache(max_entries=2)
-        caching = CachingProver(config=ProverConfig().for_benchmarking(), cache=cache)
+        caching = BatchProver(ProverConfig().for_benchmarking(), jobs=1, cache=cache)
         batch = [
             Entailment.build(lhs=[pts("x", "y")], rhs=[lseg("x", "y")]),
             Entailment.build(lhs=[pts("x", "nil")], rhs=[lseg("x", "nil")]),
             Entailment.build(lhs=[lseg("x", "y"), lseg("y", "nil")], rhs=[lseg("x", "nil")]),
         ]
         for entailment in batch:
-            caching.prove(entailment)
+            _prove(caching, entailment)
         assert len(cache) == 2
         # The first entailment was evicted; the last two still hit.
-        assert not caching.prove(batch[0]).from_cache
-        assert caching.prove(batch[2]).from_cache
+        assert not _prove(caching, batch[0]).from_cache
+        assert _prove(caching, batch[2]).from_cache
 
     def test_uncacheable_entailments_are_proved_not_cached(self, monkeypatch):
         # Pruned by automorphisms, the canonicaliser keys even eight
@@ -114,13 +120,13 @@ class TestProofCache:
             raise TooSymmetricError("refinement budget exceeded")
 
         monkeypatch.setattr(cache_module, "canonicalize", too_symmetric)
-        caching = CachingProver(config=ProverConfig().for_benchmarking())
+        caching = BatchProver(ProverConfig().for_benchmarking(), jobs=1)
         symmetric = Entailment.build(
             lhs=[lseg("a{}".format(i), "b{}".format(i)) for i in range(8)]
         )
         expected = Prover(ProverConfig().for_benchmarking()).prove(symmetric).verdict
         for _ in range(2):
-            result = caching.prove(symmetric)
+            result = _prove(caching, symmetric)
             assert result.verdict == expected and not result.from_cache
         assert caching.cache.uncacheable == 2
         assert len(caching.cache) == 0
@@ -337,11 +343,12 @@ class TestProofRequests:
 
     def test_caching_prover_proves_when_its_config_asks_for_proofs(self):
         cache = ProofCache()
-        CachingProver(cache=cache, config=ProverConfig(record_proof=False)).prove(self.VALID)
-        result = CachingProver(cache=cache).prove(self.VALID)
+        _prove(BatchProver(ProverConfig(record_proof=False), cache=cache), self.VALID)
+        asking = BatchProver(ProverConfig(), cache=cache)
+        result = _prove(asking, self.VALID)
         assert result.is_valid and result.proof is not None and not result.from_cache
         assert (cache.hits, cache.misses) == (0, 2)
-        assert CachingProver(cache=cache).prove(self.VALID).proof is not None
+        assert _prove(asking, self.VALID).proof is not None
         assert cache.hits == 1
 
 

@@ -6,9 +6,10 @@
   :func:`canonicalize` computes.
 * The hit contract: a hit carries a proof only when the request asked for
   one (renaming a long proof is the cost of a hit otherwise), and a
-  counterexample from the memory or the disk tier is checked against the
-  request before it is returned; one that does not falsify the request is
-  rejected and the entailment is proved afresh.
+  counterexample from the memory or the disk tier, or echoed to an in-batch
+  duplicate, is checked against the request before it is returned; one that
+  does not falsify the request is rejected and the entailment is proved
+  afresh.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import pytest
 
 import repro.core.cache as cache_module
 from repro.core.batch import BatchProver
-from repro.core.cache import CachingProver, PersistentProofCache, ProofCache
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
+from repro.core.prover import Prover
 from repro.core.result import ProofResult, Verdict
 from repro.fuzz.generator import EntailmentGenerator
 from repro.logic.canonical import TooSymmetricError, canonicalize
@@ -43,6 +45,13 @@ INVALID = "lseg(x, y) |- next(x, y)"
 def _fresh(text: str = VALID) -> Entailment:
     """A new entailment object each call (equal to the others of its text)."""
     return parse_entailment(text)
+
+
+def _prove(cache: ProofCache, entailment: Entailment, record_proof: bool = False) -> ProofResult:
+    """One request through the batch engine, in process, over ``cache``."""
+    engine = BatchProver(ProverConfig(record_proof=record_proof), jobs=1, cache=cache)
+    (outcome,) = engine.prove_all([entailment])
+    return outcome
 
 
 def _renamed(entailment: Entailment, tag: str) -> Entailment:
@@ -121,8 +130,7 @@ class TestCanonicalFormMemo:
         assert cache.canonical_form(_renamed(symmetric, "s")) is None
         assert cache.uncacheable == 4
         assert len(searches) == 2
-        caching = CachingProver(config=ProverConfig().for_benchmarking(), cache=cache)
-        assert not caching.prove(symmetric).from_cache
+        assert not _prove(cache, symmetric).from_cache
         assert cache.uncacheable == 5 and len(searches) == 2
 
     def test_clear_empties_the_memo(self, monkeypatch):
@@ -204,7 +212,7 @@ class TestProofOnlyOnRequest:
     """A hit renames its stored proof only when the request asked for one."""
 
     def _store_with_proof(self, cache: ProofCache) -> None:
-        result = CachingProver(cache=cache, config=ProverConfig(record_proof=True)).prove(_fresh())
+        result = _prove(cache, _fresh(), record_proof=True)
         assert result.is_valid and result.proof is not None and not result.from_cache
 
     def _check(self, cache: ProofCache, monkeypatch) -> None:
@@ -228,9 +236,9 @@ class TestProofOnlyOnRequest:
 
     def test_disk_tier(self, tmp_path, monkeypatch):
         path = str(tmp_path / "proofs.slp")
-        with PersistentProofCache(path) as first:
+        with ProofCache(path=path) as first:
             self._store_with_proof(first)
-        with PersistentProofCache(path) as second:
+        with ProofCache(path=path) as second:
             self._check(second, monkeypatch)
             assert second.disk_hits == 1
 
@@ -245,15 +253,15 @@ class TestProofOnlyOnRequest:
 
     def test_a_proofless_disk_entry_does_not_answer_a_proof_request(self, tmp_path):
         path = str(tmp_path / "proofs.slp")
-        with PersistentProofCache(path) as first:
-            CachingProver(cache=first, config=ProverConfig(record_proof=False)).prove(_fresh())
-        with PersistentProofCache(path) as second:
+        with ProofCache(path=path) as first:
+            _prove(first, _fresh())
+        with ProofCache(path=path) as second:
             assert second.answer(_renamed(_fresh(), "q"), record_proof=True) is None
             assert (second.hits, second.misses, second.disk_hits) == (0, 1, 0)
 
     def test_counterexamples_are_always_renamed(self):
         cache = ProofCache()
-        CachingProver(cache=cache, config=ProverConfig(record_proof=False)).prove(_fresh(INVALID))
+        _prove(cache, _fresh(INVALID))
         request = _renamed(_fresh(INVALID), "k")
         hit = cache.answer(request, record_proof=False)
         assert hit.from_cache and hit.is_invalid and hit.proof is None
@@ -274,14 +282,13 @@ class TestCounterexampleCheck:
     """A counterexample from the cache or the store is checked against the request."""
 
     def _ask_and_check(self, cache: ProofCache) -> None:
-        prover = CachingProver(cache=cache, config=ProverConfig(record_proof=False))
         request = _renamed(_fresh(), "w")
-        answer = prover.prove(request)
+        answer = _prove(cache, request)
         assert answer.is_valid and not answer.from_cache
         assert cache.rejected == 1
         assert (cache.hits, cache.misses, cache.disk_hits) == (0, 1, 0)
         # The fresh result replaced the planted entry.
-        again = prover.prove(_renamed(_fresh(), "v"))
+        again = _prove(cache, _renamed(_fresh(), "v"))
         assert again.is_valid and again.from_cache
         assert cache.rejected == 1
 
@@ -293,12 +300,12 @@ class TestCounterexampleCheck:
 
     def test_disk_tier(self, tmp_path):
         path = str(tmp_path / "proofs.slp")
-        with PersistentProofCache(path) as first:
+        with ProofCache(path=path) as first:
             entailment = _fresh()
             first.store(entailment, _planted(entailment))
-        with PersistentProofCache(path) as second:
+        with ProofCache(path=path) as second:
             self._ask_and_check(second)
-        with PersistentProofCache(path) as third:
+        with ProofCache(path=path) as third:
             hit = third.answer(_fresh())
             assert hit is not None and hit.is_valid and third.disk_hits == 1
 
@@ -314,11 +321,34 @@ class TestCounterexampleCheck:
 
     def test_a_genuine_counterexample_is_not_rejected(self):
         cache = ProofCache()
-        prover = CachingProver(cache=cache, config=ProverConfig(record_proof=False))
-        prover.prove(Entailment.build(lhs=[neq("x", "y"), pts("x", "y")], rhs=[lseg("y", "x")]))
-        hit = prover.prove(Entailment.build(lhs=[neq("u", "v"), pts("u", "v")], rhs=[lseg("v", "u")]))
+        _prove(cache, Entailment.build(lhs=[neq("x", "y"), pts("x", "y")], rhs=[lseg("y", "x")]))
+        hit = _prove(cache, Entailment.build(lhs=[neq("u", "v"), pts("u", "v")], rhs=[lseg("v", "u")]))
         assert hit.from_cache and hit.is_invalid
         assert cache.rejected == 0
+
+    def test_an_echo_whose_counterexample_fails_its_duplicate_is_proved(self, monkeypatch):
+        """An in-batch duplicate is answered from its leader's entry only
+        once the renamed counterexample falsifies the duplicate; otherwise
+        it is dispatched and proved on its own."""
+        original = Prover.prove
+        lies = []
+
+        def lying_once(self, entailment):
+            if not lies:
+                lies.append(entailment)
+                return _planted(entailment)
+            return original(self, entailment)
+
+        monkeypatch.setattr(Prover, "prove", lying_once)
+        cache = ProofCache()
+        with BatchProver(ProverConfig(record_proof=False), jobs=1, cache=cache) as engine:
+            leader, duplicate = engine.prove_all([_fresh(), _renamed(_fresh(), "d")])
+            stats = engine.statistics
+        assert leader.is_invalid and len(lies) == 1
+        assert duplicate.is_valid and not duplicate.from_cache
+        assert (stats.deduplicated, stats.proved) == (0, 2)
+        # The echo moved no cache counter.
+        assert (cache.hits, cache.misses, cache.rejected) == (0, 2, 0)
 
 
 def _free_to_other_threads(lock) -> bool:
@@ -344,29 +374,30 @@ def test_a_hit_is_renamed_outside_the_cache_lock(monkeypatch, text, record_proof
     """Renaming (and checking) a hit costs time in its size; other lanes must
     not wait on it."""
     cache = ProofCache()
-    prover = CachingProver(cache=cache, config=ProverConfig(record_proof=record_proof))
-    prover.prove(_fresh(text))
+    engine = BatchProver(ProverConfig(record_proof=record_proof), jobs=1, cache=cache)
+    engine.prove_all([_fresh(text)])
     free = []
     original = getattr(cache_module, renamer)
 
     def probed(artifact, mapping):
-        free.append(_free_to_other_threads(cache.lock))
+        free.append(_free_to_other_threads(cache._lock))
         return original(artifact, mapping)
 
     monkeypatch.setattr(cache_module, renamer, probed)
-    assert prover.prove(_renamed(_fresh(text), "o")).from_cache
+    (hit,) = engine.prove_all([_renamed(_fresh(text), "o")])
+    assert hit.from_cache
     assert free == [True]
 
 
 _STORE_WRITER = """
 import sys
-from repro.core.cache import CachingProver, PersistentProofCache
+from repro.core.batch import BatchProver
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
 from repro.logic.parser import parse_entailment
-with PersistentProofCache(sys.argv[1]) as cache:
-    prover = CachingProver(cache=cache, config=ProverConfig(record_proof=True))
-    for text in sys.argv[2:]:
-        prover.prove(parse_entailment(text))
+with ProofCache(path=sys.argv[1]) as cache:
+    engine = BatchProver(ProverConfig(record_proof=True), jobs=1, cache=cache)
+    engine.prove_all([parse_entailment(text) for text in sys.argv[2:]])
 """
 
 
@@ -383,7 +414,7 @@ def test_a_store_written_under_another_hash_seed_answers_in_the_request_vocabula
     subprocess.run(
         [sys.executable, "-c", _STORE_WRITER, path, VALID, INVALID], env=env, check=True, timeout=120
     )
-    with PersistentProofCache(path) as cache:
+    with ProofCache(path=path) as cache:
         request = _renamed(_fresh(INVALID), "k")
         hit = cache.answer(request)
         assert hit is not None and hit.from_cache and hit.is_invalid
@@ -399,9 +430,8 @@ def test_a_store_written_under_another_hash_seed_answers_in_the_request_vocabula
 @pytest.mark.parametrize("record_proof", [False, True])
 def test_counts_add_up_to_the_requests(record_proof):
     cache = ProofCache()
-    prover = CachingProver(cache=cache, config=ProverConfig(record_proof=record_proof))
     requests = [_fresh(), _renamed(_fresh(), "m"), _fresh(INVALID), _renamed(_fresh(INVALID), "n")]
     for request in requests:
-        prover.prove(request)
+        _prove(cache, request, record_proof)
     assert cache.hits + cache.misses + cache.uncacheable == len(requests)
     assert (cache.hits, cache.misses, cache.rejected) == (2, 2, 0)

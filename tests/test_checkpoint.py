@@ -2,8 +2,8 @@
 
 Three contracts:
 
-* a ``PersistentProofCache`` survives its coordinator — a fresh process over
-  the same store file answers alpha-equivalent queries from disk, with
+* a store-backed ``ProofCache`` survives its coordinator — a fresh process
+  over the same store file answers alpha-equivalent queries from disk, with
   verdicts identical to an in-memory hit;
 * a SIGKILLed ``slp FILE --run-dir`` batch resumes with ``--resume`` and
   prints standard output *bit-identical* to an uninterrupted run, and a
@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.core.batch import BatchProver
-from repro.core.cache import CachingProver, PersistentProofCache
+from repro.core.cache import ProofCache
 from repro.core.config import ProverConfig
 from repro.core.faults import DiskFaultPlan, DiskFaultSpec
 from repro.core.prover import Prover
@@ -55,6 +55,12 @@ def _corpus(count: int, seed: int = 23):
     return [make_random_entailment(rng) for _ in range(count)]
 
 
+def _coordinator(config: ProverConfig, cache: ProofCache):
+    """A prove function over ``cache``: each entailment is a batch of its own."""
+    engine = BatchProver(config, jobs=1, cache=cache)
+    return lambda entailment: engine.prove_all([entailment])[0]
+
+
 # ---------------------------------------------------------------------------
 # The persistent cache tier.
 # ---------------------------------------------------------------------------
@@ -65,14 +71,14 @@ class TestPersistentProofCache:
         path = str(tmp_path / "proofs.slp")
         corpus = _corpus(12)
         config = ProverConfig().for_benchmarking()
-        with PersistentProofCache(path) as first:
-            coordinator = CachingProver(Prover(config), first)
-            cold = [coordinator.prove(e) for e in corpus]
+        with ProofCache(path=path) as first:
+            coordinator = _coordinator(config, first)
+            cold = [coordinator(e) for e in corpus]
             assert first.disk_hits == 0
         # A brand-new "coordinator process": empty LRU, same store file.
-        with PersistentProofCache(path) as second:
-            restarted = CachingProver(Prover(config), second)
-            warm = [restarted.prove(_alpha(e, "warm")) for e in corpus]
+        with ProofCache(path=path) as second:
+            restarted = _coordinator(config, second)
+            warm = [restarted(_alpha(e, "warm")) for e in corpus]
             assert second.disk_hits == len(corpus)
             assert second.hits == len(corpus)
             assert second.persist_errors == 0
@@ -86,13 +92,13 @@ class TestPersistentProofCache:
         path = str(tmp_path / "proofs.slp")
         config = ProverConfig().for_benchmarking()
         entailment = _corpus(1)[0]
-        with PersistentProofCache(path) as first:
-            CachingProver(Prover(config), first).prove(entailment)
-        with PersistentProofCache(path) as second:
-            prover = CachingProver(Prover(config), second)
-            prover.prove(entailment)
+        with ProofCache(path=path) as first:
+            _coordinator(config, first)(entailment)
+        with ProofCache(path=path) as second:
+            prover = _coordinator(config, second)
+            prover(entailment)
             assert (second.disk_hits, second.hits) == (1, 1)
-            prover.prove(_alpha(entailment, "again"))
+            prover(_alpha(entailment, "again"))
             # The second hit is served by the promoted in-memory entry.
             assert (second.disk_hits, second.hits) == (1, 2)
 
@@ -101,13 +107,13 @@ class TestPersistentProofCache:
         plan = DiskFaultPlan(faults={0: DiskFaultSpec(kind="enospc")})
         config = ProverConfig().for_benchmarking()
         corpus = _corpus(3)
-        with PersistentProofCache(path, fault_plan=plan) as cache:
-            prover = CachingProver(Prover(config), cache)
+        with ProofCache(path=path, fault_plan=plan) as cache:
+            prover = _coordinator(config, cache)
             for entailment in corpus:
-                prover.prove(entailment)  # first store hits injected ENOSPC
+                prover(entailment)  # first store hits injected ENOSPC
             assert cache.persist_errors == 1
             # The in-memory tier is unaffected: alpha hits still work.
-            prover.prove(_alpha(corpus[0], "hit"))
+            prover(_alpha(corpus[0], "hit"))
             assert cache.hits == 1
 
     def test_faulty_disk_never_changes_verdicts(self, tmp_path):
@@ -119,29 +125,29 @@ class TestPersistentProofCache:
         corpus = _corpus(20, seed=5)
         reference = Prover(config)
         expected = [reference.prove(e).is_valid for e in corpus]
-        with PersistentProofCache(path, fault_plan=plan) as cache:
-            prover = CachingProver(Prover(config), cache)
-            got = [prover.prove(e).is_valid for e in corpus]
+        with ProofCache(path=path, fault_plan=plan) as cache:
+            prover = _coordinator(config, cache)
+            got = [prover(e).is_valid for e in corpus]
         assert got == expected
         assert cache.persist_errors > 0  # the plan really did fire
         # And the store file left behind is openable (recovery, not rubble).
-        with PersistentProofCache(path) as after:
-            assert CachingProver(Prover(config), after).prove(corpus[0]).is_valid == expected[0]
+        with ProofCache(path=path) as after:
+            assert _coordinator(config, after)(corpus[0]).is_valid == expected[0]
 
     def test_batch_statistics_count_misses_and_disk_hits(self, tmp_path):
         path = str(tmp_path / "proofs.slp")
         config = ProverConfig().for_benchmarking()
         corpus = _corpus(8, seed=11)
-        with PersistentProofCache(path) as cache:
+        with ProofCache(path=path) as cache:
             with BatchProver(config, jobs=1, cache=cache) as batch:
                 batch.prove_all(corpus)
                 assert batch.statistics.cache_misses == len(corpus)
-                assert batch.statistics.disk_hits == 0
-        with PersistentProofCache(path) as cache:
+                assert cache.disk_hits == 0
+        with ProofCache(path=path) as cache:
             with BatchProver(config, jobs=1, cache=cache) as batch:
                 batch.prove_all([_alpha(e, "r") for e in corpus])
                 assert batch.statistics.cache_hits == len(corpus)
-                assert batch.statistics.disk_hits == len(corpus)
+                assert cache.disk_hits == len(corpus)
                 assert batch.statistics.cache_misses == 0
 
 

@@ -17,7 +17,6 @@ import urllib.request
 import pytest
 
 from repro.core.batch import FailureInfo
-from repro.core.cache import PersistentProofCache
 from repro.core.config import ProverConfig
 from repro.core.result import ProofResult
 from repro.core.store import ProofStore
@@ -258,9 +257,8 @@ class TestProofService:
         with ProofService(FAST, jobs=1, store_path=store_path) as second:
             warm = second.submit([parse_entailment(line) for line in renamed]).result(30)
             assert all(o.from_cache for o in warm)
-            cache = second.batch.cache
-            assert isinstance(cache, PersistentProofCache)
-            assert cache.disk_hits == len(renamed)
+            assert second.cache.disk is not None
+            assert second.cache.disk_hits == len(renamed)
             assert second.batch.statistics.proved == 0
 
     def test_timeout_echoes_to_duplicates_but_is_not_persisted(self, tmp_path):
@@ -271,5 +269,5 @@ class TestProofService:
             outcomes = service.submit([hard], timeout=1e-9).result(30)
             assert isinstance(outcomes[0], FailureInfo)
             assert outcomes[0].kind == "timeout"
-            disk = service.batch.cache.disk
+            disk = service.cache.disk
             assert len(disk) == 0

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import BatchProver
-from repro.core.cache import CachingProver
 from repro.core.config import ProverConfig
 from repro.core.prover import Prover, prove
 from repro.fuzz.generator import EntailmentGenerator, GeneratorProfile
@@ -478,13 +477,13 @@ class TestDllBatchAndCache:
         assert four.key != one.key
 
     def test_cached_counterexample_is_renamed_back(self):
-        caching = CachingProver(config=ProverConfig(record_proof=False))
+        caching = BatchProver(ProverConfig(record_proof=False), jobs=1)
         original = parse_entailment("dlseg(x, p, y, q) |- cell(x, q, p)")
-        first = caching.prove(original)
+        caching.prove_all([original])
         renamed = original.rename(
             {make_const(n): make_const("w_" + n) for n in ("x", "p", "y", "q")}
         )
-        second = caching.prove(renamed)
+        (second,) = caching.prove_all([renamed])
         assert second.from_cache
         assert not second.is_valid
         cex = second.counterexample
