@@ -5,7 +5,7 @@ worker, an in-batch duplicate echoed from its leader's cache entry, the
 memory cache, or the persistent store after a restart.  Each tier renames a
 stored verdict and counterexample back into the request's own vocabulary.
 One seeded mix of benchgen problems (Table 1 rows, Table 2 folds, 2-fold
-clones) goes through every tier of three drivers — the proof service, the
+clones) goes through every tier of three front ends — the proof service, the
 batch engine and ``slp FILE`` — with one transient worker kill on the way,
 and each answer is checked against a :class:`~repro.core.prover.Prover` run
 on the request's own entailment: the verdict must match, and every INVALID
