@@ -136,6 +136,7 @@ class Prover:
             order,
             max_clauses=self.config.max_saturation_clauses,
             use_kernel=self.config.use_int_kernel,
+            record_derivations=self.config.record_proof,
         )
         model_generator = (
             IncrementalModelGenerator(order) if self.config.use_int_kernel else None

@@ -120,7 +120,6 @@ class IntClause:
         "production",
         "rest_delta",
         "rest_set",
-        "const_ids",
         "gamma_pres",
         "delta_pres",
         "sort_key",
@@ -175,8 +174,9 @@ def _cmask_of(clause: IntClause) -> int:
     """The clause's constant bitmask — bit ``i`` set iff id ``i`` occurs.
 
     Lazy and memoised like the other derived fields (reset on an encoder
-    rebuild, where ids change meaning).  The model generator uses it to key
-    its per-constant verification neighbourhoods.
+    rebuild, where ids change meaning).  The model generator re-verifies a
+    clause when this mask meets the mask of constants whose normal form
+    moved.
     """
     mask = clause.cmask
     if mask is None:
@@ -421,10 +421,8 @@ class DenseEncoder:
         clause.is_tautology = tautology
         clause.production = None
         clause.rest_delta = ()
-        # Lazy caches over the production remainder and the cmask-derived
-        # constant ids (the latter change meaning on a rebuild, like cmask).
+        # Lazy cache over the production remainder.
         clause.rest_set = None
-        clause.const_ids = None
         if not gamma and delta:
             # delta is ascending in atom-code order, which *is* the positive
             # literal ordering, so the last code is the maximal equation; it
@@ -495,10 +493,15 @@ class DenseEncoder:
         encoded = self._clause_of.get(clause)
         if encoded is not None:
             return encoded
-        self.register_constants(clause.constants())
         atom_code = self.atom_code
-        gamma = tuple(sorted(atom_code(atom) for atom in clause.gamma))
-        delta = tuple(sorted(atom_code(atom) for atom in clause.delta))
+        try:
+            gamma = tuple(sorted(atom_code(atom) for atom in clause.gamma))
+            delta = tuple(sorted(atom_code(atom) for atom in clause.delta))
+        except KeyError:
+            # A constant outside the vocabulary.  Registering it may renumber
+            # every id, so encode again from scratch afterwards.
+            self.register_constants(clause.constants())
+            return self.encode_clause(clause)
         encoded = self.intern(gamma, delta)
         if encoded.decoded is None:
             encoded.decoded = clause
@@ -674,19 +677,30 @@ class IntClauseIndex:
         # path, where candidates are arbitrary).
         fwd_occ = self._fwd_occ
         gamma_set, delta_set = _sets_of(clause)
-        for side_bit, codes in ((0, clause.gamma), (_FWD_DELTA, clause.delta)):
-            for code in codes:
-                bucket = fwd_occ.get(side_bit | code)
-                if not bucket:
-                    continue
-                for candidate in bucket.values():
-                    cg = candidate.gamma_set
-                    if cg is None:
-                        cg, cd = _sets_of(candidate)
-                    else:
-                        cd = candidate.delta_set
-                    if cg <= gamma_set and cd <= delta_set:
-                        return True
+        for code in clause.gamma:
+            bucket = fwd_occ.get(code)
+            if not bucket:
+                continue
+            for candidate in bucket.values():
+                cg = candidate.gamma_set
+                if cg is None:
+                    cg, cd = _sets_of(candidate)
+                else:
+                    cd = candidate.delta_set
+                if cg <= gamma_set and cd <= delta_set:
+                    return True
+        # A delta-owned candidate has an empty ``gamma`` (its owner literal
+        # would otherwise be a gamma atom), so only ``delta`` is compared.
+        for code in clause.delta:
+            bucket = fwd_occ.get(_FWD_DELTA | code)
+            if not bucket:
+                continue
+            for candidate in bucket.values():
+                cd = candidate.delta_set
+                if cd is None:
+                    cd = _sets_of(candidate)[1]
+                if cd <= delta_set:
+                    return True
         return False
 
     def subsumed_by(self, clause: IntClause) -> List[IntClause]:
@@ -752,10 +766,11 @@ class IntClauseIndex:
 class _DerivationView(_MappingBase):
     """Read-only ``Clause -> Inference`` view over the dense derivation record.
 
-    Decoding happens lazily, per access: the benchmark configurations never
-    touch derivations, and the proof-recording path walks the mapping exactly
-    once, so materialising symbolic :class:`Inference` objects per generated
-    clause would tax the hot path for nothing.
+    Decoding happens lazily, per access: the proof-recording path walks the
+    mapping exactly once, so materialising symbolic :class:`Inference`
+    objects per generated clause would tax the hot path for nothing.  (A core
+    built with ``record_derivations=False`` keeps no record, and the view is
+    empty.)
     """
 
     __slots__ = ("_core",)
@@ -793,11 +808,16 @@ class IntSaturationCore:
     surface, same algorithm, dense representation.  The engine facade
     delegates here by default; all inputs and outputs are symbolic
     :class:`Clause` objects, encoded/decoded at this boundary.
+
+    ``record_derivations`` keeps the ``(rule, premises)`` record of every
+    derived clause, which only proof reconstruction reads; without it
+    :attr:`derivations` stays empty and the search is otherwise identical.
     """
 
-    def __init__(self, order: TermOrder, max_clauses: int):
+    def __init__(self, order: TermOrder, max_clauses: int, record_derivations: bool = True):
         self.order = order
         self.max_clauses = max_clauses
+        self._record_derivations = record_derivations
         self._encoder = DenseEncoder(order)
         #: ``self._encoder.rebuilds`` as of the last :meth:`_handle_rebuild`.
         self._rebuilds_seen = 0
@@ -853,36 +873,50 @@ class IntSaturationCore:
             encoded = self._encode(clause)
             simplified = self._simplify(encoded)
             if simplified is encoded:
-                self._enqueue(encoded, None, ())
+                self._enqueue(encoded, None)
             else:
-                self._enqueue(simplified, "equality-resolution", (encoded,))
+                self._enqueue(simplified, "equality-resolution", encoded)
 
     def saturate(self, max_given: Optional[int] = None):
         from repro.superposition.saturation import DeadlineExceeded, SaturationResult
 
         processed = 0
-        pop_passive = self._pop_passive
+        passive = self._passive
+        heappop = heapq.heappop
+        known = self._known_delta
         infer_within = self._infer_within
         infer_between = self._infer_between
         is_subsumed_by_active = self._is_subsumed_by_active
         deadline = self.deadline
         clock = time.perf_counter
-        while self._passive and not self._refuted:
+        while passive and not self._refuted:
             if max_given is not None and processed >= max_given:
                 break
             if deadline is not None and clock() > deadline:
                 raise DeadlineExceeded("saturation ran past its wall-clock deadline")
-            given = pop_passive()
-            if given is None:
-                break
+            # Pop the lightest passive clause.  An entry whose clause has
+            # left the passive set is skipped and does not count as given.
+            given = heappop(passive)[1]
+            if not given.in_passive:
+                continue
+            given.in_passive = False
             processed += 1
+            if given.is_tautology:
+                continue
+            # ``_mark_known(given, -1)``, inlined (hot path).
+            net = known.get(given, 0) - 1
+            if net:
+                known[given] = net
+            else:
+                known.pop(given, None)
             if given.is_empty:
                 self._register_active(given)
                 self._refuted = True
                 break
-            if given.is_tautology:
-                continue
-            if is_subsumed_by_active(given):
+            if self._index_live:
+                if self._index.is_subsumed(given):
+                    continue
+            elif is_subsumed_by_active(given):
                 continue
             self._remove_subsumed_active(given)
             self._register_active(given)
@@ -995,9 +1029,7 @@ class IntSaturationCore:
                 continue
             code = _pack(small, other)
             gamma: Tuple[int, ...] = () if (code >> SHIFT) == (code & _MASK) else (code,)
-            self._enqueue(
-                self._encoder.intern(gamma, rest), "equality-factoring", (given,)
-            )
+            self._enqueue(self._encoder.intern(gamma, rest), "equality-factoring", given)
             if self._refuted:
                 return
 
@@ -1016,8 +1048,7 @@ class IntSaturationCore:
         # the intern table directly skips a call frame on that hot half, and
         # a conclusion that was both interned and enqueued before is a
         # complete no-op in ``_enqueue`` (the ``seen`` early-return precedes
-        # the generated counter) — so skip the call and the premise-tuple
-        # allocation outright.
+        # the generated counter) — so skip the call outright.
         interned_get = self._encoder._clauses.get
         enqueue = self._enqueue
         if right.gamma:
@@ -1065,7 +1096,7 @@ class IntSaturationCore:
                     conclusion = intern(gamma_codes, delta)
                 elif conclusion.seen:
                     continue
-                enqueue(conclusion, "superposition-left", (left, right))
+                enqueue(conclusion, "superposition-left", left, right)
                 if self._refuted:
                     return
             return
@@ -1081,7 +1112,7 @@ class IntSaturationCore:
         delta_codes.update(right.rest_delta)
         delta_codes.add(code)
         self._enqueue(
-            intern((), tuple(sorted(delta_codes))), "superposition-right", (left, right)
+            intern((), tuple(sorted(delta_codes))), "superposition-right", left, right
         )
 
     # -- engine internals ----------------------------------------------------
@@ -1099,8 +1130,14 @@ class IntSaturationCore:
         self,
         clause: IntClause,
         rule: Optional[str],
-        premises: Tuple[IntClause, ...],
+        first: Optional[IntClause] = None,
+        second: Optional[IntClause] = None,
     ) -> None:
+        """Queue a new clause derived by ``rule`` from ``first`` (and ``second``).
+
+        The premises come as two arguments, so no tuple is built unless a
+        derivation record is kept.  ``rule`` is ``None`` for an input clause.
+        """
         if clause.seen:
             return
         clause.seen = True
@@ -1111,8 +1148,11 @@ class IntSaturationCore:
             raise SaturationLimitError(
                 "saturation exceeded the budget of {} clauses".format(self.max_clauses)
             )
-        if rule is not None:
-            self._derivations[clause] = (rule, premises)
+        if rule is not None and self._record_derivations:
+            self._derivations[clause] = (
+                rule,
+                (first,) if second is None else (first, second),
+            )
         if clause.is_empty:
             self._register_active(clause)
             self._refuted = True
@@ -1143,22 +1183,6 @@ class IntSaturationCore:
             self._known_delta[clause] = net
         else:
             self._known_delta.pop(clause, None)
-
-    def _pop_passive(self) -> Optional[IntClause]:
-        while self._passive:
-            _, clause = heapq.heappop(self._passive)
-            if clause.in_passive:
-                clause.in_passive = False
-                if not clause.is_tautology:
-                    # ``_mark_known(clause, -1)``, inlined (hot path).
-                    known = self._known_delta
-                    net = known.get(clause, 0) - 1
-                    if net:
-                        known[clause] = net
-                    else:
-                        known.pop(clause, None)
-                return clause
-        return None
 
     def _register_active(self, clause: IntClause) -> None:
         if clause.in_active:

@@ -166,24 +166,6 @@ def generate_model(clauses: Iterable[Clause], order: TermOrder) -> EqualityModel
 _UNDECIDED = object()
 
 
-def _const_ids_of(clause: IntClause) -> List[int]:
-    """The dense constant ids occurring in a kernel clause (via its cmask).
-
-    Memoised on the clause — the change feed adds and later removes the same
-    record, and the cache resets with ``cmask`` on a rebuild.
-    """
-    ids = clause.const_ids
-    if ids is None:
-        mask = _cmask_of(clause)
-        ids = []
-        while mask:
-            low = mask & -mask
-            ids.append(low.bit_length() - 1)
-            mask ^= low
-        clause.const_ids = ids
-    return ids
-
-
 class IncrementalModelGenerator:
     """``Gen(S*)`` maintained incrementally across saturation rounds.
 
@@ -194,11 +176,14 @@ class IncrementalModelGenerator:
     everything from scratch.  This class keeps three pieces of state alive
     between calls:
 
-    * the **ordered clause list**, maintained insertion-sorted under the
-      dense clause sort key (which is injective, so positions are
-      unambiguous and removals can be found by bisection);
+    * the **construction list** — the *productive* clauses only (those with a
+      precomputed ``production``), kept insertion-sorted under the dense
+      clause sort key (which is injective, so positions are unambiguous and
+      removals can be found by bisection).  Any other clause can never add
+      an edge, so its construction decision is always "no edge" and leaving
+      it out of the list changes no edge;
     * the **construction trail** — the produce/skip decision at every position
-      of the ordered list.  A decision at position ``i`` depends only on the
+      of the list.  A decision at position ``i`` depends only on the
       *rewrite relation* built from the clauses before ``i``, not on those
       clauses themselves: as long as the edge sequence replayed so far equals
       the previous construction's, recorded decisions stay valid and are
@@ -207,24 +192,22 @@ class IncrementalModelGenerator:
       unchanged and the replay continues, so only an insertion that actually
       fires (or the removal of a clause that had fired) invalidates the
       decisions behind it;
-    * the **verification cache** — the set of clauses already checked against
-      the current rewrite relation, plus the per-edge generating clauses
-      whose leftover literals were checked.  Satisfaction of a clause depends
-      only on the *normal forms of its own constants*, so the cache is
-      invalidated per constant: when the edge set changes, the generator
-      diffs the normal-form snapshot against the previous round's and
-      re-verifies only the clauses that mention a constant whose normal form
-      actually moved.
+    * the **verification cache** — the set of clauses (of every shape) not yet
+      checked against the current rewrite relation, plus the per-edge
+      generating clauses whose leftover literals were checked.  Satisfaction
+      of a clause depends only on the *normal forms of its own constants*:
+      when the edge set changes, the generator diffs the reducible constants'
+      normal forms against the previous round's, ORs the moved constants
+      into a bitmask and re-verifies only the clauses whose constant mask
+      (``IntClause.cmask``) meets it.
 
     Every structure is keyed by integers: clauses come straight off the
     kernel's raw change feed (``drain_known_changes_raw``), ordering uses the
     precomputed packed sort keys, satisfaction checks unpack atom codes with
     two shifts, and the rewrite relation is a plain ``int -> int``
     dictionary.  Nothing is decoded during maintenance; symbolic objects are
-    built only in :meth:`_materialise` — and even there, an unchanged
-    edge/generator sequence returns the previous round's
-    :class:`EqualityModel` object outright, with its normal-form cache primed
-    from the construction's own snapshot.
+    built only in :meth:`_materialise`, whose relation starts with the
+    reducible constants' normal forms cached.
 
     The result equals ``generate_model`` called from scratch on the engine's
     known clauses every round: the dense sort key is order- and
@@ -232,7 +215,8 @@ class IncrementalModelGenerator:
     ``IntClause.production`` agrees with ``TermOrder.production``
     literal-for-literal, satisfaction is evaluated over the same normal
     forms, and the caches are invalidated exactly when their inputs change
-    (pinned round for round by ``tests/test_kernel.py``).
+    (pinned round for round by ``tests/test_kernel.py``, and at every round
+    of real proofs by ``tests/test_prover_models.py``).
     """
 
     def __init__(self, order: TermOrder):
@@ -240,6 +224,7 @@ class IncrementalModelGenerator:
         self._core = None
         self._encoder = None
         self._members: Set[IntClause] = set()
+        #: The construction list: productive members, by dense sort key.
         self._keys: List[Tuple[int, ...]] = []
         self._ordered: List[IntClause] = []
         #: Per-position construction decision: ``None`` (no edge),
@@ -247,17 +232,14 @@ class IncrementalModelGenerator:
         #: is the position's clause, so it is not stored.
         self._decisions: List[object] = []
         self._replay_barrier = 0
-        #: constant id -> clauses of the current set mentioning it.
-        self._clauses_by_const: Dict[int, Set[IntClause]] = {}
-        self._verified_edges: Optional[FrozenSet[Tuple[int, int]]] = None
+        self._verified_edges: Optional[Dict[int, int]] = None
+        #: Normal forms under the verified edges; reducible constants only.
         self._verified_normal_forms: Dict[int, int] = {}
         self._verified_generators: Dict[Tuple[int, int], IntClause] = {}
         self._unverified: Set[IntClause] = set()
         #: IntClause -> its (immutable) GeneratingClause record; an interned
         #: clause determines its equation, so the record never changes.
         self._generating_cache: Dict[IntClause, GeneratingClause] = {}
-        self._boundary_signature: Optional[List[Tuple[int, int, int]]] = None
-        self._boundary_model: Optional[EqualityModel] = None
 
     def model_for_engine(self, engine) -> EqualityModel:
         """The candidate model of a kernel engine's current known clause set.
@@ -286,7 +268,6 @@ class IncrementalModelGenerator:
     # -- maintenance ---------------------------------------------------------
     def _apply_changes(self, added: List[IntClause], removed: List[IntClause]) -> None:
         sort_key_of = self._encoder.sort_key_of
-        by_const = self._clauses_by_const
         members = self._members
         unverified = self._unverified
         keys, ordered, decisions = self._keys, self._ordered, self._decisions
@@ -294,6 +275,9 @@ class IncrementalModelGenerator:
             if clause not in members:
                 continue
             members.discard(clause)
+            unverified.discard(clause)
+            if clause.production is None:
+                continue
             position = bisect_left(keys, sort_key_of(clause))
             decision = decisions[position]
             del keys[position]
@@ -303,11 +287,6 @@ class IncrementalModelGenerator:
                 self._replay_barrier = min(self._replay_barrier, position)
             elif position < self._replay_barrier:
                 self._replay_barrier -= 1
-            unverified.discard(clause)
-            for identifier in _const_ids_of(clause):
-                bucket = by_const.get(identifier)
-                if bucket is not None:
-                    bucket.discard(clause)
         for clause in added:
             # Kernel clauses are pure by construction; the feed filters
             # tautologies, but mirror generate_model's guards.
@@ -316,6 +295,12 @@ class IncrementalModelGenerator:
             if clause.is_tautology or clause in members:
                 continue
             members.add(clause)
+            unverified.add(clause)
+            # Memoise the constant mask ``_verify`` reads.  Ids are never
+            # renumbered once the feed has been drained, so it stays valid.
+            _cmask_of(clause)
+            if clause.production is None:
+                continue
             key = sort_key_of(clause)
             position = bisect_left(keys, key)
             keys.insert(position, key)
@@ -323,9 +308,6 @@ class IncrementalModelGenerator:
             decisions.insert(position, _UNDECIDED)
             if position < self._replay_barrier:
                 self._replay_barrier += 1
-            unverified.add(clause)
-            for identifier in _const_ids_of(clause):
-                by_const.setdefault(identifier, set()).add(clause)
 
     # -- construction --------------------------------------------------------
     def _construct(
@@ -338,8 +320,8 @@ class IncrementalModelGenerator:
         gen_of: Dict[Tuple[int, int], IntClause] = {}
         # Normal forms of the relation built so far, maintained eagerly as
         # edges are added: evaluating a clause is then a dictionary hit per
-        # constant instead of a rewrite-chain chase (ids absent from the
-        # dict are their own normal form).
+        # constant instead of a rewrite-chain chase.  It holds exactly the
+        # reducible ids; an absent id is its own normal form.
         normal_forms: Dict[int, int] = {}
         nf_get = normal_forms.get
         classes: Dict[int, List[int]] = {}
@@ -372,28 +354,21 @@ class IncrementalModelGenerator:
                             apply_edge(big, small)
                             gen_of[(big, small)] = clause
                         continue
-            satisfied = False
-            for code in clause.gamma:
-                big, small = code >> SHIFT, code & _MASK
-                if nf_get(big, big) != nf_get(small, small):
-                    satisfied = True
-                    break
-            if not satisfied:
-                for code in clause.delta:
-                    big, small = code >> SHIFT, code & _MASK
-                    if nf_get(big, big) == nf_get(small, small):
-                        satisfied = True
-                        break
+            # A productive clause has an empty ``gamma`` (see
+            # ``DenseEncoder._fill``): it is true exactly when some
+            # consequent holds.
             fresh = None
-            if not satisfied:
-                production = clause.production
-                if production is not None and production[0] not in edges:
-                    big, small, _equation = production
+            for code in clause.delta:
+                big, small = code >> SHIFT, code & _MASK
+                if nf_get(big, big) == nf_get(small, small):
+                    break
+            else:
+                big, small, _equation = clause.production
+                if big not in edges:
                     apply_edge(big, small)
                     gen_of[(big, small)] = clause
                     fresh = (big, small)
-            if trusted and fresh is not None:
-                trusted = False
+                    trusted = False
             decisions[position] = fresh
         self._replay_barrier = len(self._ordered)
         return edges, gen_of, normal_forms
@@ -405,20 +380,23 @@ class IncrementalModelGenerator:
         gen_of: Dict[Tuple[int, int], IntClause],
         normal_forms: Dict[int, int],
     ) -> None:
-        edge_set = frozenset(edges.items())
         unverified = self._unverified
-        if edge_set != self._verified_edges:
-            nf_get = normal_forms.get
-            snapshot = {
-                identifier: nf_get(identifier, identifier)
-                for identifier in self._clauses_by_const
-            }
-            previous_get = self._verified_normal_forms.get
-            for identifier, normal in snapshot.items():
+        if edges != self._verified_edges:
+            previous = self._verified_normal_forms
+            previous_get = previous.get
+            moved = 0
+            for identifier, normal in normal_forms.items():
                 if previous_get(identifier, identifier) != normal:
-                    unverified |= self._clauses_by_const[identifier]
-            self._verified_normal_forms = snapshot
-            self._verified_edges = edge_set
+                    moved |= 1 << identifier
+            for identifier in previous:
+                if identifier not in normal_forms:
+                    moved |= 1 << identifier
+            if moved:
+                unverified.update(
+                    clause for clause in self._members if clause.cmask & moved
+                )
+            self._verified_normal_forms = normal_forms
+            self._verified_edges = edges
             self._verified_generators = {}
         snapshot_get = self._verified_normal_forms.get
         if unverified:
@@ -494,32 +472,19 @@ class IncrementalModelGenerator:
         gen_of: Dict[Tuple[int, int], IntClause],
         normal_forms: Dict[int, int],
     ) -> EqualityModel:
-        signature = [
-            (big, small, generator.ordinal)
-            for (big, small), generator in gen_of.items()
-        ]
-        if signature == self._boundary_signature:
-            # Same edges from the same generators: the previous round's model
-            # object (and its warm normal-form cache) is still exact.  The
-            # model is read-only downstream, so sharing it is safe.
-            return self._boundary_model
         const_of = self._encoder.const_of
-        nf_get = normal_forms.get
         relation = RewriteRelation.preloaded(
             {const_of(big): const_of(small) for big, small in edges.items()},
             {
-                const_of(identifier): const_of(nf_get(identifier, identifier))
-                for identifier in self._clauses_by_const
+                const_of(identifier): const_of(normal)
+                for identifier, normal in normal_forms.items()
             },
         )
         generators = {
             (const_of(big), const_of(small)): self._generating(generator)
             for (big, small), generator in gen_of.items()
         }
-        model = EqualityModel(relation=relation, generators=generators, order=self.order)
-        self._boundary_signature = signature
-        self._boundary_model = model
-        return model
+        return EqualityModel(relation=relation, generators=generators, order=self.order)
 
 
 def _verify_model(

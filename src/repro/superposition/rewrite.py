@@ -66,14 +66,15 @@ class RewriteRelation:
     ) -> "RewriteRelation":
         """A relation whose normal-form cache starts populated.
 
-        The dense model generator computes every known constant's normal form
-        as a by-product of its own (integer-side) construction; materialising
-        the boundary relation with those values already cached means the
-        downstream satisfaction and normalisation queries never re-chase a
-        rewrite chain the construction has already walked.  The caller
-        vouches that ``normal_forms`` maps constants to their exact normal
-        forms under ``edges`` — a wrong value here silently corrupts
-        satisfaction answers, so only construction-derived snapshots qualify.
+        The dense model generator computes every reducible constant's normal
+        form as a by-product of its own (integer-side) construction;
+        materialising the boundary relation with those values already cached
+        means the downstream satisfaction and normalisation queries never
+        re-chase a rewrite chain the construction has already walked.  The
+        map may leave constants out (they are resolved on demand), but the
+        caller vouches that every value in it is the exact normal form under
+        ``edges`` — a wrong value here silently corrupts satisfaction
+        answers, so only construction-derived maps qualify.
         """
         relation = cls(edges)
         relation._nf_cache.update(normal_forms)

@@ -9,7 +9,8 @@ given-clause loop resumes.
 Besides the saturated set, the engine records, for every derived clause, the
 inference that produced it (rule name and premises).  This record is what lets
 the prover reconstruct a full SI proof tree (Figure 4 of the paper) once the
-empty clause has been derived.
+empty clause has been derived; a prover that records no proof builds its
+engine without it.
 """
 
 from __future__ import annotations
@@ -129,17 +130,31 @@ class SaturationEngine:
         order, with identical derivation records; inputs and outputs are
         symbolic :class:`Clause` objects either way (the kernel encodes and
         decodes at its boundary).
+    record_derivations:
+        Keep the derivation record of every generated clause (see
+        :attr:`derivations`).  Only proof reconstruction reads it, so the
+        prover turns it off when it records no proof; the search itself does
+        not change.
     """
 
-    def __init__(self, order: TermOrder, max_clauses: int = 200000, use_kernel: bool = True):
+    def __init__(
+        self,
+        order: TermOrder,
+        max_clauses: int = 200000,
+        use_kernel: bool = True,
+        record_derivations: bool = True,
+    ):
         self.order = order
         self.calculus = SuperpositionCalculus(order)
         self.max_clauses = max_clauses
         if use_kernel:
             from repro.superposition.kernel import IntSaturationCore
 
-            self._core: Optional[IntSaturationCore] = IntSaturationCore(order, max_clauses)
+            self._core: Optional[IntSaturationCore] = IntSaturationCore(
+                order, max_clauses, record_derivations=record_derivations
+            )
             return
+        self._record_derivations = record_derivations
         self._core = None
         self._deadline: Optional[float] = None
         self._active: List[Clause] = []
@@ -164,7 +179,10 @@ class SaturationEngine:
 
     @property
     def derivations(self) -> Mapping[Clause, Inference]:
-        """A read-only view of the recorded derivation of every generated clause."""
+        """A read-only view of the recorded derivation of every generated clause.
+
+        Empty when the engine was built with ``record_derivations=False``.
+        """
         if self._core is not None:
             return self._core.derivations
         return MappingProxyType(self._derivations)
@@ -321,7 +339,7 @@ class SaturationEngine:
             raise SaturationLimitError(
                 "saturation exceeded the budget of {} clauses".format(self.max_clauses)
             )
-        if inference is not None:
+        if inference is not None and self._record_derivations:
             self._derivations[clause] = inference
         if clause.is_empty:
             self._register_active(clause)
